@@ -35,11 +35,6 @@ pub enum MlError {
     NonFiniteInput,
     /// A hyper-parameter was out of range (message explains which).
     InvalidParameter(&'static str),
-    /// IRLS failed to converge within the iteration budget.
-    DidNotConverge {
-        /// Iterations performed.
-        iterations: usize,
-    },
 }
 
 impl fmt::Display for MlError {
@@ -64,9 +59,6 @@ impl fmt::Display for MlError {
             MlError::SingularSystem => write!(f, "normal equations are singular"),
             MlError::NonFiniteInput => write!(f, "input contains NaN or infinite values"),
             MlError::InvalidParameter(what) => write!(f, "invalid parameter: {what}"),
-            MlError::DidNotConverge { iterations } => {
-                write!(f, "IRLS did not converge within {iterations} iterations")
-            }
         }
     }
 }

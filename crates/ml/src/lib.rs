@@ -5,45 +5,36 @@
 //! nets (DNN). Linear models are more explainable, which is critical for
 //! domain experts", and §5.2.1 specifically uses a **Huber Regressor**
 //! because it is "more robust to outliers compared to the Least Squares
-//! Regression". This crate provides exactly that toolbox:
+//! Regression". This crate provides the linear half of that toolbox, the
+//! half the engine uses:
 //!
 //! * [`matrix`] — a small dense row-major matrix with a partial-pivoting
 //!   linear solver (all KEA models are tiny: a handful of coefficients per
 //!   machine group).
-//! * [`linreg`] — ordinary least squares and ridge regression via the
-//!   normal equations.
+//! * [`linreg`] — ordinary least squares via the normal equations.
 //! * [`huber`] — the Huber robust regressor fitted with iteratively
 //!   reweighted least squares (IRLS) and a MAD scale estimate.
 //! * [`mod@line`] — the univariate [`line::LinearModel1D`] used for the paper's
 //!   `g_k`, `h_k`, `f_k`, `p`, `q` models, with an exact inverse (needed by
 //!   the Monte-Carlo SKU-design optimizer, §6.1).
-//! * [`mlp`] — a one-hidden-layer neural regressor, the "DNN" option of
-//!   §5.1 for genuinely curved relationships (the engine still defaults
-//!   to linear models for the paper's explainability reason).
-//! * [`features`] — polynomial expansion and standardization.
-//! * [`metrics`] — R², RMSE, MAE, MAPE.
-//! * [`validate`] — seeded train/test splits and k-fold cross-validation.
+//! * [`metrics`] — R², the goodness-of-fit number reported per group.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod error;
-pub mod features;
 pub mod huber;
 pub mod line;
 pub mod linreg;
 pub mod matrix;
 pub mod metrics;
-pub mod mlp;
-pub mod validate;
 
 pub use error::MlError;
 pub use huber::HuberRegressor;
 pub use line::LinearModel1D;
-pub use linreg::{LinearRegression, RidgeRegression};
+pub use linreg::LinearRegression;
 pub use matrix::Matrix;
-pub use metrics::{mae, mape, r2_score, rmse};
-pub use mlp::{MlpConfig, MlpRegressor};
+pub use metrics::r2_score;
 
 /// A fitted regression model mapping a feature row to a prediction.
 ///

@@ -1,4 +1,4 @@
-//! Ordinary least squares and ridge regression via the normal equations.
+//! Ordinary least squares via the normal equations.
 //!
 //! These are the "LR" baselines of §5.1. Coefficient vectors are exposed so
 //! domain experts can read the model — the paper's stated reason for
@@ -7,69 +7,6 @@
 use crate::error::MlError;
 use crate::matrix::Matrix;
 use crate::Regressor;
-
-/// Shared fitting core: solves `(XᵀX + λ·P) β = Xᵀy` where `P` is the
-/// identity with a zero in the intercept position (the intercept is never
-/// penalized).
-fn fit_linear(
-    x_rows: &[Vec<f64>],
-    y: &[f64],
-    fit_intercept: bool,
-    lambda: f64,
-) -> Result<(f64, Vec<f64>), MlError> {
-    if x_rows.len() != y.len() {
-        return Err(MlError::ShapeMismatch {
-            x_rows: x_rows.len(),
-            y_len: y.len(),
-        });
-    }
-    if y.iter().any(|v| !v.is_finite()) {
-        return Err(MlError::NonFiniteInput);
-    }
-    // Validate row widths up front: a ragged input should be a typed
-    // error here, not a failure (or panic) deep in the matrix layer.
-    let n_features = crate::error::check_rectangular(x_rows)?;
-    let p = n_features + usize::from(fit_intercept);
-    if x_rows.len() < p.max(1) {
-        return Err(MlError::InsufficientData {
-            required: p.max(1),
-            actual: x_rows.len(),
-        });
-    }
-
-    // Build the (optionally intercept-augmented) design matrix.
-    let design: Vec<Vec<f64>> = x_rows
-        .iter()
-        .map(|r| {
-            if fit_intercept {
-                let mut row = Vec::with_capacity(p);
-                row.push(1.0);
-                row.extend_from_slice(r);
-                row
-            } else {
-                r.clone()
-            }
-        })
-        .collect();
-    let x = Matrix::from_rows(&design)?;
-    let xt = x.transpose();
-    let mut xtx = xt.matmul(&x)?;
-    if lambda > 0.0 {
-        let start = usize::from(fit_intercept);
-        for i in start..p {
-            let v = xtx.get(i, i) + lambda;
-            xtx.set(i, i, v);
-        }
-    }
-    let xty = xt.matvec(y)?;
-    let beta = xtx.solve(&xty)?;
-
-    if fit_intercept {
-        Ok((beta[0], beta[1..].to_vec())) // kea-lint: allow(index-in-library) — beta has 1 + n_features entries by construction
-    } else {
-        Ok((0.0, beta))
-    }
-}
 
 /// Ordinary least squares.
 ///
@@ -90,38 +27,49 @@ pub struct LinearRegression {
 }
 
 impl LinearRegression {
-    /// Fits OLS with an intercept.
+    /// Fits OLS with an intercept by solving the normal equations
+    /// `XᵀX β = Xᵀy` over the intercept-augmented design.
     ///
     /// # Errors
     /// Shapes must agree, inputs must be finite, and the design must be
     /// full-rank with at least as many rows as coefficients.
     pub fn fit(x_rows: &[Vec<f64>], y: &[f64]) -> Result<Self, MlError> {
-        let (intercept, coefficients) = fit_linear(x_rows, y, true, 0.0)?;
-        Ok(LinearRegression {
-            intercept,
-            coefficients,
-        })
-    }
-
-    /// Fits OLS through the origin (no intercept).
-    ///
-    /// # Errors
-    /// Same as [`LinearRegression::fit`].
-    pub fn fit_no_intercept(x_rows: &[Vec<f64>], y: &[f64]) -> Result<Self, MlError> {
-        let (intercept, coefficients) = fit_linear(x_rows, y, false, 0.0)?;
-        Ok(LinearRegression {
-            intercept,
-            coefficients,
-        })
-    }
-
-    /// Builds a model directly from known parameters (used by the What-if
-    /// Engine when loading calibrated coefficients).
-    pub fn from_parameters(intercept: f64, coefficients: Vec<f64>) -> Self {
-        LinearRegression {
-            intercept,
-            coefficients,
+        if x_rows.len() != y.len() {
+            return Err(MlError::ShapeMismatch {
+                x_rows: x_rows.len(),
+                y_len: y.len(),
+            });
         }
+        if y.iter().any(|v| !v.is_finite()) {
+            return Err(MlError::NonFiniteInput);
+        }
+        // Validate row widths up front: a ragged input should be a typed
+        // error here, not a failure (or panic) deep in the matrix layer.
+        let p = crate::error::check_rectangular(x_rows)? + 1;
+        if x_rows.len() < p {
+            return Err(MlError::InsufficientData {
+                required: p,
+                actual: x_rows.len(),
+            });
+        }
+
+        let design: Vec<Vec<f64>> = x_rows
+            .iter()
+            .map(|r| {
+                let mut row = Vec::with_capacity(p);
+                row.push(1.0);
+                row.extend_from_slice(r);
+                row
+            })
+            .collect();
+        let x = Matrix::from_rows(&design)?;
+        let xt = x.transpose();
+        let beta = xt.matmul(&x)?.solve(&xt.matvec(y)?)?;
+        let (intercept, coefficients) = (beta[0], beta[1..].to_vec()); // kea-lint: allow(index-in-library) — beta has 1 + n_features entries by construction
+        Ok(LinearRegression {
+            intercept,
+            coefficients,
+        })
     }
 
     /// The fitted intercept.
@@ -136,63 +84,6 @@ impl LinearRegression {
 }
 
 impl Regressor for LinearRegression {
-    fn predict_row(&self, features: &[f64]) -> f64 {
-        self.intercept
-            + self
-                .coefficients
-                .iter()
-                .zip(features)
-                .map(|(c, x)| c * x)
-                .sum::<f64>()
-    }
-}
-
-/// Ridge regression (`L2`-penalized least squares, intercept unpenalized).
-///
-/// Used when machine groups have few observations and the plain normal
-/// equations are ill-conditioned.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RidgeRegression {
-    intercept: f64,
-    coefficients: Vec<f64>,
-    lambda: f64,
-}
-
-impl RidgeRegression {
-    /// Fits ridge regression with penalty `lambda ≥ 0`.
-    ///
-    /// # Errors
-    /// `lambda` must be non-negative and finite; otherwise as
-    /// [`LinearRegression::fit`].
-    pub fn fit(x_rows: &[Vec<f64>], y: &[f64], lambda: f64) -> Result<Self, MlError> {
-        if !lambda.is_finite() || lambda < 0.0 {
-            return Err(MlError::InvalidParameter("lambda must be non-negative"));
-        }
-        let (intercept, coefficients) = fit_linear(x_rows, y, true, lambda)?;
-        Ok(RidgeRegression {
-            intercept,
-            coefficients,
-            lambda,
-        })
-    }
-
-    /// The fitted intercept.
-    pub fn intercept(&self) -> f64 {
-        self.intercept
-    }
-
-    /// The fitted slope coefficients.
-    pub fn coefficients(&self) -> &[f64] {
-        &self.coefficients
-    }
-
-    /// The penalty used at fit time.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-}
-
-impl Regressor for RidgeRegression {
     fn predict_row(&self, features: &[f64]) -> f64 {
         self.intercept
             + self
@@ -236,15 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn no_intercept_goes_through_origin() {
-        let x: Vec<Vec<f64>> = (1..10).map(|i| vec![i as f64]).collect();
-        let y: Vec<f64> = (1..10).map(|i| 4.0 * i as f64).collect();
-        let m = LinearRegression::fit_no_intercept(&x, &y).unwrap();
-        assert_eq!(m.intercept(), 0.0);
-        assert!((m.coefficients()[0] - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn least_squares_minimizes_residuals_on_noisy_data() {
         // OLS residuals must be orthogonal to the regressors.
         let x: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64]).collect();
@@ -284,14 +166,6 @@ mod tests {
                 actual: 2
             })
         );
-        assert!(matches!(
-            LinearRegression::fit_no_intercept(&x, &y),
-            Err(MlError::RaggedRows { .. })
-        ));
-        assert!(matches!(
-            RidgeRegression::fit(&x, &y, 0.5),
-            Err(MlError::RaggedRows { .. })
-        ));
     }
 
     #[test]
@@ -311,53 +185,12 @@ mod tests {
     }
 
     #[test]
-    fn ridge_fixes_collinearity() {
-        let x: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64, 2.0 * i as f64]).collect();
-        let y: Vec<f64> = (0..10).map(|i| 5.0 * i as f64).collect();
-        let m = RidgeRegression::fit(&x, &y, 1e-3).unwrap();
-        // Combined effect ≈ 5: c0 + 2·c1 ≈ 5.
-        let combined = m.coefficients()[0] + 2.0 * m.coefficients()[1];
-        assert!((combined - 5.0).abs() < 0.01, "combined = {combined}");
-    }
-
-    #[test]
-    fn ridge_shrinks_toward_zero() {
-        let (x, y) = exact_line(20, 0.0, 3.0);
-        let small = RidgeRegression::fit(&x, &y, 0.01).unwrap();
-        let large = RidgeRegression::fit(&x, &y, 1000.0).unwrap();
-        assert!(large.coefficients()[0].abs() < small.coefficients()[0].abs());
-        assert!(small.coefficients()[0] <= 3.0 + 1e-9);
-    }
-
-    #[test]
-    fn ridge_zero_lambda_equals_ols() {
-        let (x, y) = exact_line(15, 2.0, -1.0);
-        let ols = LinearRegression::fit(&x, &y).unwrap();
-        let ridge = RidgeRegression::fit(&x, &y, 0.0).unwrap();
-        assert!((ols.intercept() - ridge.intercept()).abs() < 1e-9);
-        assert!((ols.coefficients()[0] - ridge.coefficients()[0]).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ridge_rejects_negative_lambda() {
-        let (x, y) = exact_line(5, 0.0, 1.0);
-        assert!(RidgeRegression::fit(&x, &y, -1.0).is_err());
-        assert!(RidgeRegression::fit(&x, &y, f64::NAN).is_err());
-    }
-
-    #[test]
     fn nan_target_rejected() {
         let x = vec![vec![1.0], vec![2.0], vec![3.0]];
         assert_eq!(
             LinearRegression::fit(&x, &[1.0, f64::NAN, 3.0]),
             Err(MlError::NonFiniteInput)
         );
-    }
-
-    #[test]
-    fn from_parameters_round_trips() {
-        let m = LinearRegression::from_parameters(1.0, vec![2.0, 3.0]);
-        assert_eq!(m.predict_row(&[10.0, 100.0]), 1.0 + 20.0 + 300.0);
     }
 
     #[test]

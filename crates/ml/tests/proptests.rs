@@ -73,7 +73,12 @@ proptest! {
         x0 in -100.0..100.0f64,
         x1 in -100.0..100.0f64,
     ) {
-        let m = LinearRegression::from_parameters(intercept, vec![c0, c1]);
+        // Fit an exact plane so the model carries these parameters.
+        let x: Vec<Vec<f64>> = (0..35).map(|i| vec![(i % 5) as f64, (i % 7) as f64]).collect();
+        let y: Vec<f64> = x.iter().map(|r| intercept + c0 * r[0] + c1 * r[1]).collect();
+        let m = LinearRegression::fit(&x, &y).unwrap();
+        let (intercept, c) = (m.intercept(), m.coefficients());
+        let (c0, c1) = (c[0], c[1]);
         let direct = m.predict_row(&[x0, x1]);
         prop_assert!((direct - (intercept + c0 * x0 + c1 * x1)).abs() < 1e-9);
         // Affinity: doubling features doubles the non-intercept part.

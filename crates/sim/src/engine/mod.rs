@@ -48,11 +48,11 @@ use crate::output::{JobRecord, SimOutput, TaskRecord};
 use crate::rng::{exponential, gauge_noise_at, lognormal_mean, CounterRng};
 use crate::workload::{Schedule, TaskType, WorkloadSpec};
 use crate::CalendarQueue;
+use kea_telemetry::fanout::work_steal;
 use kea_telemetry::{GroupKey, MachineHourRecord, MetricValues, SkuId};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Full specification of one simulation run.
 #[derive(Debug, Clone)]
@@ -131,10 +131,10 @@ pub fn run_with_exec(cfg: &SimConfig, exec: ExecConfig) -> SimOutput {
 }
 
 /// Federated execution: one scheduling domain per sub-cluster, simulated
-/// by `min(shards, domains)` scoped workers (`shards == 0` ⇒ one worker
-/// per domain) claiming domains through an atomic ticket. Workers return
-/// their outputs and the parent merges after `join`, in domain order —
-/// the result does not depend on which worker simulated which domain.
+/// by `min(shards, domains)` work-stealing workers (`shards == 0` ⇒ one
+/// worker per domain; see [`work_steal`]). The parent merges the outputs
+/// in domain order, so the result does not depend on which worker
+/// simulated which domain, and a panicking domain reaches the caller.
 fn run_federated(cfg: &SimConfig, exec: ExecConfig) -> SimOutput {
     // Deterministic domain list: sub-clusters in id order. Machines keep
     // their global identity (ids, racks), so merged telemetry is exactly
@@ -154,53 +154,18 @@ fn run_federated(cfg: &SimConfig, exec: ExecConfig) -> SimOutput {
         slices.push(cfg.workload.sliced(before as u64, d.len() as u64, total_machines as u64));
         before += d.len();
     }
-    let workers = if exec.shards == 0 {
-        n_domains
-    } else {
-        exec.shards.min(n_domains)
-    }
-    .max(1);
-    let ticket = AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, SimOutput)> = Vec::with_capacity(n_domains);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let ticket = &ticket;
-                let domains = &domains;
-                let slices = &slices;
-                scope.spawn(move || {
-                    let mut outs = Vec::new();
-                    loop {
-                        let i = ticket.fetch_add(1, Ordering::Relaxed);
-                        if i >= n_domains {
-                            break;
-                        }
-                        let (Some(machines), Some(workload)) = (domains.get(i), slices.get(i))
-                        else {
-                            break;
-                        };
-                        // The RNG stream is keyed by the domain's lowest
-                        // machine id — a property of the domain, not of
-                        // the worker or claim order.
-                        let stream = machines.first().map_or(i as u64, |m| u64::from(m.id.0));
-                        let rng = CounterRng::new(cfg.seed, stream);
-                        let out =
-                            Fleet::new(cfg, machines, workload, rng, exec.emit_window_hours).run();
-                        outs.push((i, out));
-                    }
-                    outs
-                })
-            })
-            .collect();
-        for h in handles {
-            if let Ok(v) = h.join() {
-                indexed.extend(v);
-            }
-        }
+    let workers = if exec.shards == 0 { n_domains } else { exec.shards };
+    let outs = work_steal(n_domains, workers, || (), |_, i| {
+        // kea-lint: allow(index-in-library) — i < n_domains, the length of both lists
+        let (machines, workload) = (&domains[i], &slices[i]);
+        // The RNG stream is keyed by the domain's lowest machine id — a
+        // property of the domain, not of the worker or claim order.
+        let stream = machines.first().map_or(i as u64, |m| u64::from(m.id.0));
+        let rng = CounterRng::new(cfg.seed, stream);
+        Fleet::new(cfg, machines, workload, rng, exec.emit_window_hours).run()
     });
-    indexed.sort_by_key(|(i, _)| *i);
     let mut out = SimOutput::default();
-    for (_, domain_out) in indexed {
+    for domain_out in outs {
         out.absorb(domain_out);
     }
     out

@@ -11,15 +11,12 @@
 //!   variance, percentiles, five-number summaries).
 //! * [`dist`] — special functions (log-gamma, regularized incomplete beta)
 //!   and the normal / Student-t distributions built on top of them.
-//! * [`ttest`] — one-sample, pooled two-sample, and Welch two-sample t-tests.
-//! * [`mannwhitney`] — the Mann-Whitney U test as a non-parametric
-//!   cross-check for skewed machine metrics.
-//! * [`power`] — experiment sizing: required group sizes and minimum
-//!   detectable effects (§7's "relatively large sample size", made
-//!   quantitative).
+//! * [`ttest`] — Welch's two-sample t-test, the Experiment Module's test.
+//! * [`power`] — experiment sizing: the required group size (§7's
+//!   "relatively large sample size", made quantitative).
 //! * [`bootstrap`] — seeded percentile-bootstrap confidence intervals.
-//! * [`treatment`] — before/after treatment effects and
-//!   difference-in-differences, as used for the §5.2.2 production roll-out.
+//! * [`treatment`] — before/after treatment effects, as used for the
+//!   §5.2.2 production roll-out.
 //!
 //! All randomised routines take explicit [`rand::Rng`] handles so that every
 //! KEA experiment is reproducible from a seed.
@@ -31,7 +28,6 @@ pub mod bootstrap;
 pub mod describe;
 pub mod dist;
 pub mod error;
-pub mod mannwhitney;
 pub mod power;
 pub mod treatment;
 pub mod ttest;
@@ -40,7 +36,6 @@ pub use bootstrap::{bootstrap_ci, BootstrapCi};
 pub use describe::{mean, median, percentile, stddev, variance, Summary, Welford};
 pub use dist::{Normal, StudentsT};
 pub use error::StatsError;
-pub use mannwhitney::{mann_whitney_u, MannWhitneyResult};
-pub use power::{achieved_power, minimum_detectable_effect, required_n_two_sample};
-pub use treatment::{diff_in_diff, treatment_effect, DiffInDiff, TreatmentEffect};
-pub use ttest::{t_test_one_sample, t_test_pooled, t_test_welch, Alternative, TTestResult};
+pub use power::required_n_two_sample;
+pub use treatment::{treatment_effect, TreatmentEffect};
+pub use ttest::{t_test_welch, Alternative, TTestResult};

@@ -35,12 +35,12 @@
 // dense id interned/remapped by the same index (bounds pinned by store
 // tests).
 
+use crate::fanout::{available_workers, work_steal};
 use crate::metric::Metric;
 use crate::record::{GroupKey, MachineHourRecord, MachineId};
 use crate::store::{merge_dedup, remap_into, ColumnIndex, TelemetryStore};
 use kea_stats::Summary;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One daily aggregate for one machine: per-metric means over the hours
 /// observed that day.
@@ -81,70 +81,6 @@ pub struct GroupUtilization {
     pub mean_cpu_utilization: f64,
     /// Mean running containers.
     pub mean_running_containers: f64,
-}
-
-/// Runs `work(scratch, group_index)` over every group in `0..n_groups`,
-/// work-stealing across scoped threads: each worker owns one `scratch`
-/// (built by `make_scratch`, reused across the groups it claims) and
-/// pulls the next unclaimed group off a shared atomic cursor. One
-/// pathologically large group therefore pins exactly one worker while
-/// the others drain the rest — a contiguous count-based split would
-/// serialize everything sharing its partition. Per-group results land in
-/// per-group slots and are concatenated in ascending group order, so the
-/// output is identical to a serial loop for any worker count and any
-/// steal interleaving.
-pub(crate) fn run_group_partitions<T: Send, S>(
-    n_groups: usize,
-    make_scratch: impl Fn() -> S + Sync,
-    work: impl Fn(&mut S, usize) -> Vec<T> + Sync,
-) -> Vec<T> {
-    if n_groups == 0 {
-        return Vec::new();
-    }
-    let n_workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(n_groups);
-    if n_workers <= 1 {
-        let mut scratch = make_scratch();
-        return (0..n_groups)
-            .flat_map(|gi| work(&mut scratch, gi))
-            .collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<Vec<T>>> = Vec::new();
-    slots.resize_with(n_groups, || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut scratch = make_scratch();
-                    let mut claimed: Vec<(usize, Vec<T>)> = Vec::new();
-                    loop {
-                        let gi = cursor.fetch_add(1, Ordering::Relaxed);
-                        if gi >= n_groups {
-                            break;
-                        }
-                        claimed.push((gi, work(&mut scratch, gi)));
-                    }
-                    claimed
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(claimed) => {
-                    for (gi, result) in claimed {
-                        slots[gi] = Some(result);
-                    }
-                }
-                // Surface worker panics (e.g. assertion failures in
-                // kernels under test) instead of swallowing them.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    slots.into_iter().flatten().flatten().collect()
 }
 
 /// One group's presence across every side of the store: its row range in
@@ -274,8 +210,9 @@ fn daily_core(sides: &[&ColumnIndex], window: Option<(u64, u64)>) -> Vec<DailyAg
     let machines = merged_machines(sides);
     let groups = merged_groups(sides, window);
     let n_machines = machines.ids.len();
-    run_group_partitions(
+    work_steal(
         groups.len(),
+        available_workers(),
         || DailyScratch {
             counts: vec![0u32; n_machines],
             sums: vec![[0.0f64; Metric::ALL.len()]; n_machines],
@@ -311,6 +248,9 @@ fn daily_core(sides: &[&ColumnIndex], window: Option<(u64, u64)>) -> Vec<DailyAg
             out
         },
     )
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Drains every touched daily bucket into `out` and resets the scratch.
@@ -473,8 +413,9 @@ pub fn group_utilization(store: &TelemetryStore) -> Vec<GroupUtilization> {
     // remap is the identity — skip the indirection on the hot sealed
     // path.
     let identity = sides.len() == 1;
-    run_group_partitions(
+    work_steal(
         groups.len(),
+        available_workers(),
         || (vec![false; n_machines], Vec::<u32>::new()),
         |(seen, touched), gi| {
             let g = &groups[gi];
@@ -508,7 +449,7 @@ pub fn group_utilization(store: &TelemetryStore) -> Vec<GroupUtilization> {
                 seen[dense as usize] = false;
             }
             touched.clear();
-            vec![result]
+            result
         },
     )
 }
@@ -1149,23 +1090,5 @@ mod tests {
         sorted.sort();
         assert_eq!(keys, sorted, "utilization output stays in group order under skew");
         assert_eq!(util[0].machines, 40);
-    }
-
-    #[test]
-    fn work_stealing_covers_every_group_exactly_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        for n_groups in [0usize, 1, 2, 5, 16, 17, 64] {
-            let calls = AtomicUsize::new(0);
-            let out = run_group_partitions(
-                n_groups,
-                || (),
-                |_, gi| {
-                    calls.fetch_add(1, Ordering::Relaxed);
-                    vec![gi]
-                },
-            );
-            assert_eq!(out, (0..n_groups).collect::<Vec<_>>());
-            assert_eq!(calls.load(Ordering::Relaxed), n_groups);
-        }
     }
 }

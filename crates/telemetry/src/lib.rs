@@ -45,6 +45,9 @@
 //!   ([`daily_group_aggregates_window`], [`hourly_fleet_series_window`])
 //!   that ride the store's segment pruning. Pre-columnar roll-ups
 //!   survive as [`aggregate::reference`].
+//! * [`fanout`] — the work-stealing, index-ordered parallel map that
+//!   every layer of the loop fans out through: group scans here, group
+//!   fits in the What-if Engine, domain runs in the federated simulator.
 //!
 //! The key design decision mirrors the paper's Level-V abstraction: all
 //! analysis happens at the `(software configuration, SKU)` machine-group
@@ -55,6 +58,7 @@
 
 pub mod aggregate;
 pub mod csv;
+pub mod fanout;
 pub mod metric;
 pub mod persist;
 pub mod record;

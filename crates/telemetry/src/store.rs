@@ -989,20 +989,24 @@ impl TelemetryStore {
     /// control windows collected separately). Routed through the same
     /// batch append — and therefore the same non-finite validation — as
     /// [`extend`](TelemetryStore::extend).
-    pub fn merge(&mut self, other: TelemetryStore) {
-        let TelemetryStore { runs, tail, .. } = other;
-        for run in &runs {
-            // Detach the other store's sealed rows back into record
-            // form; its runs are resident or reloadable via its own
-            // backing, which `runs` still references nothing of — a
-            // run without a resident index here can only come from a
-            // durable store, whose records were sealed after passing
-            // validation on their way in.
-            if let Some(index) = run.index.get() {
-                self.extend(index.sorted.iter().copied());
-            }
+    ///
+    /// Every source run is read through the lazy-load path queries use,
+    /// so runs a durable source left on disk (after a reopen, or evicted
+    /// by its LRU cap) merge in full. A source run that fails to load
+    /// merges as empty, and its diagnosis carries over: this store's
+    /// [`verify`](TelemetryStore::verify) then reports it, and
+    /// [`sync`](TelemetryStore::sync) refuses.
+    pub fn merge(&mut self, mut other: TelemetryStore) {
+        // Each decoded source run is dropped as soon as it is copied.
+        for run in std::mem::take(&mut other.runs) {
+            self.extend(other.run_side(&run).sorted.iter().copied());
         }
-        self.extend(tail);
+        let carried = other.degraded.get_mut().unwrap_or_else(PoisonError::into_inner).take();
+        let slot = self.degraded.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if slot.is_none() {
+            *slot = carried;
+        }
+        self.extend(std::mem::take(&mut other.tail));
     }
 
     /// Reserves capacity for at least `additional` more records, so a

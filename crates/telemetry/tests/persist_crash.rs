@@ -911,3 +911,80 @@ fn compact_segments_roundtrips_through_disk() {
     assert_eq!(reopened.run_count(), 1);
     assert_agrees(&reference, &reopened);
 }
+
+/// Regression (previously: `merge` copied only runs whose index was
+/// resident, so a reopened durable source merged as empty). A source
+/// that was reopened and never queried must merge in full.
+#[test]
+fn merge_of_a_reopened_durable_store_keeps_every_row() {
+    let scratch = Scratch::new();
+    let mut store = TelemetryStore::open(scratch.path()).expect("open");
+    store.extend((0..5000).map(rec));
+    store.sync().expect("sync");
+    drop(store);
+
+    let reopened = TelemetryStore::open(scratch.path()).expect("reopen");
+    assert!(reopened.run_count() > 0);
+    assert_eq!(reopened.resident_runs(), 0, "the source's runs must start on disk");
+    let mut merged = TelemetryStore::new();
+    merged.merge(reopened);
+    assert_eq!(merged.len(), 5000);
+    merged.verify().expect("nothing degraded");
+    let mut reference = RefStore::new();
+    reference.extend((0..5000).map(rec));
+    assert_agrees(&reference, &merged);
+}
+
+/// Regression (same cause): runs the source's LRU cap evicted must merge
+/// in full too.
+#[test]
+fn merge_of_an_evicted_durable_store_keeps_every_row() {
+    let scratch = Scratch::new();
+    let mut store = TelemetryStore::open(scratch.path()).expect("open");
+    // Elder run above the policy floor so sync keeps two segments.
+    store.extend((0..4500).map(rec));
+    store.seal();
+    store.extend((4500..5000).map(rec));
+    store.seal();
+    store.sync().expect("sync");
+    drop(store);
+
+    let mut reopened = TelemetryStore::open(scratch.path()).expect("reopen");
+    assert_eq!(reopened.run_count(), 2);
+    assert_eq!(reopened.by_hours(0, u64::MAX).count(), 5000);
+    reopened.set_segment_cache_limit(1);
+    assert_eq!(reopened.resident_runs(), 1, "the cap must evict one run");
+    let mut merged = TelemetryStore::new();
+    merged.merge(reopened);
+    assert_eq!(merged.len(), 5000);
+    merged.verify().expect("nothing degraded");
+    let mut reference = RefStore::new();
+    reference.extend((0..5000).map(rec));
+    assert_agrees(&reference, &merged);
+}
+
+/// A source segment that fails to load merges as empty, and the
+/// destination's `verify` reports the loss instead of hiding it.
+#[test]
+fn merge_carries_a_corrupt_source_segment_into_verify() {
+    let scratch = Scratch::new();
+    let mut store = TelemetryStore::open(scratch.path()).expect("open");
+    store.extend((0..2000).map(rec));
+    store.sync().expect("sync");
+    drop(store);
+    let segments = live_segments(scratch.path());
+    assert_eq!(segments.len(), 1);
+    // Damage the body's last byte: the header still validates at open.
+    let mut bytes = std::fs::read(&segments[0]).expect("read segment");
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0xFF;
+    std::fs::write(&segments[0], &bytes).expect("write corrupted segment");
+
+    let reopened = TelemetryStore::open(scratch.path()).expect("body damage passes open");
+    let mut merged = TelemetryStore::new();
+    merged.push(rec(9999));
+    merged.merge(reopened);
+    assert_eq!(merged.len(), 1, "the unreadable run merges as empty");
+    let err = merged.verify().expect_err("the loss must surface");
+    assert!(matches!(err, PersistError::Corrupt { .. }), "got {err}");
+}
