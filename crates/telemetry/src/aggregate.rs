@@ -987,6 +987,34 @@ mod tests {
     }
 
     #[test]
+    fn work_stealing_covers_every_group_exactly_once() {
+        // One machine per group, one row per machine: each kernel's fan-out
+        // must emit every group once, in ascending group order.
+        for n_groups in [0u32, 1, 2, 5, 16, 17, 64] {
+            let mut store = TelemetryStore::new();
+            for g in 0..n_groups {
+                store.push(MachineHourRecord {
+                    machine: MachineId(g),
+                    group: GroupKey::new(SkuId(g as u16), ScId(0)),
+                    hour: 0,
+                    metrics: MetricValues {
+                        cpu_utilization: g as f64,
+                        ..Default::default()
+                    },
+                });
+            }
+            let expect: Vec<GroupKey> = (0..n_groups)
+                .map(|g| GroupKey::new(SkuId(g as u16), ScId(0)))
+                .collect();
+            let util = group_utilization(&store);
+            assert_eq!(util.iter().map(|u| u.group).collect::<Vec<_>>(), expect);
+            assert!(util.iter().all(|u| u.machines == 1));
+            let daily = daily_group_aggregates(&store);
+            assert_eq!(daily.iter().map(|d| d.group).collect::<Vec<_>>(), expect);
+        }
+    }
+
+    #[test]
     fn empty_store_empty_outputs() {
         let store = TelemetryStore::new();
         assert!(daily_group_aggregates(&store).is_empty());
