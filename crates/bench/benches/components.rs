@@ -4,7 +4,7 @@
 //! the machinery), not reproduction benches (see `--bin repro`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use kea_ml::{HuberRegressor, LinearRegression};
+use kea_ml::{HuberRegressor, LinearModel1D, LinearRegression};
 use kea_opt::{LpProblem, Relation};
 use kea_sim::{run, ClusterSpec, SimConfig};
 use kea_stats::{t_test_welch, Alternative, Summary};
@@ -33,6 +33,17 @@ fn bench_estimators(c: &mut Criterion) {
     });
     c.bench_function("huber_fit_1000", |b| {
         b.iter(|| HuberRegressor::fit(black_box(&x), black_box(&y)).unwrap())
+    });
+    // ~230k rows is one hourly group on loopbench's `stream-week`: the
+    // What-if Engine's one-feature fit next to the multivariate oracle
+    // it agrees with bit for bit.
+    let (x, y) = regression_data(230_000, true);
+    let column: Vec<f64> = x.iter().map(|r| r[0]).collect();
+    c.bench_function("huber_fit_230k", |b| {
+        b.iter(|| HuberRegressor::fit(black_box(&x), black_box(&y)).unwrap())
+    });
+    c.bench_function("line_fit_huber_230k", |b| {
+        b.iter(|| LinearModel1D::fit_huber(black_box(&column), black_box(&y)).unwrap())
     });
 }
 

@@ -17,7 +17,7 @@
 
 use crate::error::KeaError;
 use crate::monitor::PerformanceMonitor;
-use kea_ml::{r2_score, LinearModel1D};
+use kea_ml::LinearModel1D;
 use kea_telemetry::fanout::{available_workers, work_steal};
 use kea_telemetry::{GroupKey, Metric};
 use std::collections::BTreeMap;
@@ -244,7 +244,7 @@ impl WhatIfEngine {
         method: FitMethod,
     ) -> Result<GroupModels, KeaError> {
         let containers: Vec<f64> = rows.iter().map(|r| r.containers).collect();
-        let util: Vec<f64> = rows.iter().map(|r| r.util).collect();
+        let mut util: Vec<f64> = rows.iter().map(|r| r.util).collect();
         let tasks: Vec<f64> = rows.iter().map(|r| r.tasks).collect();
         let latency: Vec<f64> = rows.iter().map(|r| r.latency).collect();
 
@@ -258,29 +258,26 @@ impl WhatIfEngine {
         let h = fit(&util, &tasks)?;
         let f = fit(&util, &latency)?;
 
-        let r2_of = |m: &LinearModel1D, x: &[f64], y: &[f64]| {
-            let pred: Vec<f64> = x.iter().map(|&v| m.predict(v)).collect();
-            r2_score(y, &pred).unwrap_or(f64::NAN)
-        };
-        let machines: std::collections::BTreeSet<u32> =
-            rows.iter().map(|r| r.machine).collect();
-        // Sort each observation column once; the median (and, for
-        // containers, every later percentile lookup) reads the sorted
-        // copy instead of re-sorting per call.
-        let mut containers_sorted = containers.clone();
-        containers_sorted.sort_by(f64::total_cmp);
-        let mut util_sorted = util.clone();
-        util_sorted.sort_by(f64::total_cmp);
+        let r2_of = |m: &LinearModel1D, x: &[f64], y: &[f64]| m.r2_score(x, y).unwrap_or(f64::NAN);
+        let r2 = (
+            r2_of(&g, &containers, &util),
+            r2_of(&h, &util, &tasks),
+            r2_of(&f, &util, &latency),
+        );
+        let mut machines: Vec<u32> = rows.iter().map(|r| r.machine).collect();
+        machines.sort_unstable();
+        machines.dedup();
+        // Containers are kept sorted for every later percentile lookup;
+        // util only needs its median. Values that tie under `total_cmp`
+        // are bit-equal, so an unstable sort gives the stable one's order.
+        let mut containers_sorted = containers;
+        containers_sorted.sort_unstable_by(f64::total_cmp);
         Ok(GroupModels {
             group,
             n_machines: machines.len(),
             current_containers: median_of_sorted(&containers_sorted),
-            current_util: median_of_sorted(&util_sorted),
-            r2: (
-                r2_of(&g, &containers, &util),
-                r2_of(&h, &util, &tasks),
-                r2_of(&f, &util, &latency),
-            ),
+            current_util: median_in_place(&mut util),
+            r2,
             g_containers_to_util: g,
             h_util_to_tasks: h,
             f_util_to_latency: f,
@@ -347,6 +344,25 @@ fn median_of_sorted(s: &[f64]) -> f64 {
     } else {
         0.5 * (s[n / 2 - 1] + s[n / 2])
     }
+}
+
+/// [`median_of_sorted`] of `v` sorted by `total_cmp`, found by selection
+/// instead of a full sort (`v` is reordered). For even lengths the lower
+/// middle is the largest value below the selected upper middle.
+fn median_in_place(v: &mut [f64]) -> f64 {
+    if v.is_empty() {
+        return 0.0;
+    }
+    let (mid, odd) = (v.len() / 2, v.len() % 2 == 1);
+    let (lower, &mut upper, _) = v.select_nth_unstable_by(mid, f64::total_cmp);
+    if odd {
+        return upper;
+    }
+    lower
+        .iter()
+        .copied()
+        .max_by(f64::total_cmp)
+        .map_or(upper, |below| 0.5 * (below + upper))
 }
 
 #[cfg(test)]
@@ -566,6 +582,124 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `fit_group` as built before the one-feature fast paths: the
+    /// multivariate estimators on per-row `Vec`s, a prediction buffer
+    /// for `r2_score`, a `BTreeSet` of machines and stable sorts.
+    fn fit_group_reference(group: GroupKey, rows: &[TrainRow], method: FitMethod) -> GroupModels {
+        use kea_ml::{r2_score, HuberRegressor, LinearRegression};
+        let containers: Vec<f64> = rows.iter().map(|r| r.containers).collect();
+        let util: Vec<f64> = rows.iter().map(|r| r.util).collect();
+        let tasks: Vec<f64> = rows.iter().map(|r| r.tasks).collect();
+        let latency: Vec<f64> = rows.iter().map(|r| r.latency).collect();
+        let fit = |x: &[f64], y: &[f64]| {
+            let x: Vec<Vec<f64>> = x.iter().map(|&v| vec![v]).collect();
+            let (intercept, slope) = match method {
+                FitMethod::Huber => {
+                    let m = HuberRegressor::fit(&x, y).unwrap();
+                    (m.intercept(), m.coefficients()[0])
+                }
+                FitMethod::Ols => {
+                    let m = LinearRegression::fit(&x, y).unwrap();
+                    (m.intercept(), m.coefficients()[0])
+                }
+            };
+            LinearModel1D::from_parameters(intercept, slope)
+        };
+        let r2_of = |m: &LinearModel1D, x: &[f64], y: &[f64]| {
+            let pred: Vec<f64> = x.iter().map(|&v| m.predict(v)).collect();
+            r2_score(y, &pred).unwrap_or(f64::NAN)
+        };
+        let (g, h, f) = (fit(&containers, &util), fit(&util, &tasks), fit(&util, &latency));
+        let machines: std::collections::BTreeSet<u32> = rows.iter().map(|r| r.machine).collect();
+        let mut containers_sorted = containers.clone();
+        containers_sorted.sort_by(f64::total_cmp);
+        let mut util_sorted = util.clone();
+        util_sorted.sort_by(f64::total_cmp);
+        GroupModels {
+            group,
+            n_machines: machines.len(),
+            current_containers: median_of_sorted(&containers_sorted),
+            current_util: median_of_sorted(&util_sorted),
+            r2: (
+                r2_of(&g, &containers, &util),
+                r2_of(&h, &util, &tasks),
+                r2_of(&f, &util, &latency),
+            ),
+            g_containers_to_util: g,
+            h_util_to_tasks: h,
+            f_util_to_latency: f,
+            n_rows: rows.len(),
+            containers_sorted,
+        }
+    }
+
+    fn assert_bit_identical(got: &GroupModels, want: &GroupModels, what: &str) {
+        let line = |m: &LinearModel1D| (m.intercept().to_bits(), m.slope().to_bits());
+        assert_eq!(got.group, want.group, "{what}");
+        assert_eq!(line(&got.g_containers_to_util), line(&want.g_containers_to_util), "{what}: g");
+        assert_eq!(line(&got.h_util_to_tasks), line(&want.h_util_to_tasks), "{what}: h");
+        assert_eq!(line(&got.f_util_to_latency), line(&want.f_util_to_latency), "{what}: f");
+        assert_eq!(got.n_machines, want.n_machines, "{what}");
+        assert_eq!(got.n_rows, want.n_rows, "{what}");
+        assert_eq!(got.current_containers.to_bits(), want.current_containers.to_bits(), "{what}");
+        assert_eq!(got.current_util.to_bits(), want.current_util.to_bits(), "{what}");
+        let r2 = |m: &GroupModels| (m.r2.0.to_bits(), m.r2.1.to_bits(), m.r2.2.to_bits());
+        assert_eq!(r2(got), r2(want), "{what}: r2 {:?} vs {:?}", got.r2, want.r2);
+        let sorted = |m: &GroupModels| -> Vec<u64> {
+            m.containers_sorted.iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(sorted(got), sorted(want), "{what}");
+    }
+
+    #[test]
+    fn fit_group_is_bit_identical_to_the_reference_build() {
+        // Skewed machine ids (ids < 40, a few owning most rows), gross
+        // outliers on every model, odd and even row counts, and a
+        // constant latency column whose fitted line leaves non-zero
+        // residuals, so its R² is undefined (NaN).
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let group = GroupKey::new(SkuId(3), ScId(2));
+        let mut saw_nan_r2 = false;
+        for n in [4usize, 5, 6, 101, 1000, 1001] {
+            let rows: Vec<TrainRow> = (0..n)
+                .map(|i| {
+                    let u = next();
+                    let containers = (4.0 + 20.0 * next()).round() / 2.0;
+                    let outlier = if i % 9 == 4 { 300.0 * next() } else { 0.0 };
+                    let util = 5.0 + 4.0 * containers + 3.0 * (next() - 0.5) + outlier;
+                    TrainRow {
+                        machine: (u * u * u * 40.0) as u32,
+                        containers,
+                        util,
+                        tasks: 2.0 * util + 5.0 * next() + outlier,
+                        latency: 0.1,
+                    }
+                })
+                .collect();
+            for method in [FitMethod::Huber, FitMethod::Ols] {
+                let got = WhatIfEngine::fit_group(group, &rows, method).unwrap();
+                let want = fit_group_reference(group, &rows, method);
+                assert_bit_identical(&got, &want, &format!("n={n} {method:?}"));
+                let estimator = match method {
+                    FitMethod::Huber => kea_ml::line::Estimator::Huber,
+                    FitMethod::Ols => kea_ml::line::Estimator::Ols,
+                };
+                for m in [&got.g_containers_to_util, &got.h_util_to_tasks, &got.f_util_to_latency] {
+                    assert_eq!(m.estimator(), estimator);
+                    assert_eq!(m.n_obs(), n);
+                }
+                saw_nan_r2 |= got.r2.2.is_nan();
+            }
+        }
+        assert!(saw_nan_r2, "the constant latency column never hit the undefined-R² case");
     }
 
     #[test]

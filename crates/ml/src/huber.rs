@@ -92,12 +92,24 @@ impl HuberRegressor {
     /// different parameterization).
     pub const DEFAULT_DELTA: f64 = 1.345;
 
+    /// IRLS iteration budget of [`HuberRegressor::fit`].
+    pub(crate) const DEFAULT_MAX_ITER: usize = 100;
+
+    /// Max-coefficient-change tolerance of [`HuberRegressor::fit`].
+    pub(crate) const DEFAULT_TOL: f64 = 1e-8;
+
     /// Fits with the default threshold and iteration budget.
     ///
     /// # Errors
     /// See [`HuberRegressor::fit_with`].
     pub fn fit(x_rows: &[Vec<f64>], y: &[f64]) -> Result<Self, MlError> {
-        Self::fit_with(x_rows, y, Self::DEFAULT_DELTA, 100, 1e-8)
+        Self::fit_with(
+            x_rows,
+            y,
+            Self::DEFAULT_DELTA,
+            Self::DEFAULT_MAX_ITER,
+            Self::DEFAULT_TOL,
+        )
     }
 
     /// Fits a Huber regression with threshold `delta` (in robust standard

@@ -11,12 +11,17 @@
 //! * [`matrix`] — a small dense row-major matrix with a partial-pivoting
 //!   linear solver (all KEA models are tiny: a handful of coefficients per
 //!   machine group).
-//! * [`linreg`] — ordinary least squares via the normal equations.
+//! * [`linreg`] — ordinary least squares via the normal equations, for
+//!   any number of features.
 //! * [`huber`] — the Huber robust regressor fitted with iteratively
-//!   reweighted least squares (IRLS) and a MAD scale estimate.
+//!   reweighted least squares (IRLS) and a MAD scale estimate, for any
+//!   number of features. It is the multivariate reference: the engine's
+//!   one-feature fits must agree with it bit for bit.
 //! * [`mod@line`] — the univariate [`line::LinearModel1D`] used for the paper's
 //!   `g_k`, `h_k`, `f_k`, `p`, `q` models, with an exact inverse (needed by
-//!   the Monte-Carlo SKU-design optimizer, §6.1).
+//!   the Monte-Carlo SKU-design optimizer, §6.1). Its OLS and Huber fits
+//!   run on the two columns directly, with an inline 2×2 solve and no
+//!   per-row allocation; they are the path the What-if Engine runs.
 //! * [`metrics`] — R², the goodness-of-fit number reported per group.
 
 #![forbid(unsafe_code)]

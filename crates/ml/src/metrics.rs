@@ -6,25 +6,6 @@
 
 use crate::error::MlError;
 
-fn check(y_true: &[f64], y_pred: &[f64]) -> Result<(), MlError> {
-    if y_true.len() != y_pred.len() {
-        return Err(MlError::ShapeMismatch {
-            x_rows: y_pred.len(),
-            y_len: y_true.len(),
-        });
-    }
-    if y_true.is_empty() {
-        return Err(MlError::InsufficientData {
-            required: 1,
-            actual: 0,
-        });
-    }
-    if y_true.iter().chain(y_pred).any(|v| !v.is_finite()) {
-        return Err(MlError::NonFiniteInput);
-    }
-    Ok(())
-}
-
 /// Coefficient of determination `R² = 1 − SS_res / SS_tot`.
 ///
 /// Returns 1.0 when both the residuals and the total variance are zero
@@ -35,12 +16,37 @@ fn check(y_true: &[f64], y_pred: &[f64]) -> Result<(), MlError> {
 /// non-zero residuals has undefined R² and returns
 /// [`MlError::InvalidParameter`].
 pub fn r2_score(y_true: &[f64], y_pred: &[f64]) -> Result<f64, MlError> {
-    check(y_true, y_pred)?;
+    if y_true.len() != y_pred.len() {
+        return Err(MlError::ShapeMismatch {
+            x_rows: y_pred.len(),
+            y_len: y_true.len(),
+        });
+    }
+    r2_of(y_true, || y_pred.iter().copied())
+}
+
+/// [`r2_score`] of `y_true` against the predictions `pred` yields, one
+/// per entry and in order, so a caller that can compute predictions on
+/// the fly needs no prediction buffer. `pred` is called twice: once for
+/// the finiteness check, once for the residuals.
+pub(crate) fn r2_of<I: Iterator<Item = f64>>(
+    y_true: &[f64],
+    pred: impl Fn() -> I,
+) -> Result<f64, MlError> {
+    if y_true.is_empty() {
+        return Err(MlError::InsufficientData {
+            required: 1,
+            actual: 0,
+        });
+    }
+    if y_true.iter().copied().chain(pred()).any(|v| !v.is_finite()) {
+        return Err(MlError::NonFiniteInput);
+    }
     let mean = y_true.iter().sum::<f64>() / y_true.len() as f64;
     let ss_tot: f64 = y_true.iter().map(|y| (y - mean).powi(2)).sum();
     let ss_res: f64 = y_true
         .iter()
-        .zip(y_pred)
+        .zip(pred())
         .map(|(t, p)| (t - p).powi(2))
         .sum();
     if ss_tot == 0.0 {

@@ -1,7 +1,43 @@
 //! Property-based tests for the regression stack.
 
-use kea_ml::{HuberRegressor, LinearRegression, Matrix, Regressor};
+use kea_ml::{HuberRegressor, LinearModel1D, LinearRegression, Matrix, MlError, Regressor};
 use proptest::prelude::*;
+
+/// A noisy line over `n` rows with `outlier_pct`% gross outliers. With
+/// `tied`, x and y snap onto coarse grids, so many |residuals| tie at
+/// the MAD median.
+fn line_sample(n: usize, seed: u64, outlier_pct: u64, tied: bool) -> (Vec<f64>, Vec<f64>) {
+    let mut state = seed;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let (mut x, mut y) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    for _ in 0..n {
+        let mut xi = 100.0 * next();
+        let mut yi = 40.0 + 0.8 * xi + 2.0 * (next() - 0.5);
+        if next() * 100.0 < outlier_pct as f64 {
+            yi += 500.0 * next() - 100.0;
+        }
+        if tied {
+            xi = xi.round();
+            yi = yi.round();
+        }
+        x.push(xi);
+        y.push(yi);
+    }
+    (x, y)
+}
+
+fn column(x: &[f64]) -> Vec<Vec<f64>> {
+    x.iter().map(|&v| vec![v]).collect()
+}
+
+fn line_bits(m: Result<LinearModel1D, MlError>) -> Result<(u64, u64), MlError> {
+    m.map(|m| (m.intercept().to_bits(), m.slope().to_bits()))
+}
 
 proptest! {
     #[test]
@@ -84,5 +120,33 @@ proptest! {
         // Affinity: doubling features doubles the non-intercept part.
         let doubled = m.predict_row(&[2.0 * x0, 2.0 * x1]);
         prop_assert!(((doubled - intercept) - 2.0 * (direct - intercept)).abs() < 1e-6);
+    }
+
+    #[test]
+    fn line_fit_huber_is_bit_identical_to_huber_regressor(
+        seed in 0u64..1_000_000,
+        half in 1usize..1500,
+        odd in prop::bool::ANY,
+        outlier_pct in 0u64..31,
+        tied in prop::bool::ANY,
+    ) {
+        let (x, y) = line_sample(2 * half + usize::from(odd), seed, outlier_pct, tied);
+        let oracle = HuberRegressor::fit(&column(&x), &y)
+            .map(|m| (m.intercept().to_bits(), m.coefficients()[0].to_bits()));
+        prop_assert_eq!(line_bits(LinearModel1D::fit_huber(&x, &y)), oracle);
+    }
+
+    #[test]
+    fn line_fit_ols_is_bit_identical_to_linear_regression(
+        seed in 0u64..1_000_000,
+        half in 1usize..1500,
+        odd in prop::bool::ANY,
+        outlier_pct in 0u64..31,
+        tied in prop::bool::ANY,
+    ) {
+        let (x, y) = line_sample(2 * half + usize::from(odd), seed, outlier_pct, tied);
+        let oracle = LinearRegression::fit(&column(&x), &y)
+            .map(|m| (m.intercept().to_bits(), m.coefficients()[0].to_bits()));
+        prop_assert_eq!(line_bits(LinearModel1D::fit_ols(&x, &y)), oracle);
     }
 }
