@@ -107,7 +107,7 @@ impl Drop for Scratch {
 fn sealed_store_dir(records: &[MachineHourRecord], tag: &str) -> Scratch {
     let scratch = Scratch::new(tag);
     let mut store = TelemetryStore::open(&scratch.0).expect("open scratch store");
-    store.extend(records.iter().copied());
+    store.extend_validated(records.iter().copied());
     store.seal();
     store.sync().expect("sync sealed store");
     scratch
@@ -125,7 +125,7 @@ fn bench_wal_append(c: &mut Criterion) {
         let mut store = TelemetryStore::open(&scratch.0).expect("open store");
         let mut h = HOURS;
         b.iter(|| {
-            store.extend(hour_batch(h));
+            store.extend_validated(hour_batch(h));
             h += 1;
             store.sync().expect("sync hour batch");
         });
@@ -139,7 +139,7 @@ fn bench_wal_append(c: &mut Criterion) {
                 (scratch, store)
             },
             |(scratch, mut store)| {
-                store.extend(window.iter().copied());
+                store.extend_validated(window.iter().copied());
                 store.sync().expect("sync bulk");
                 drop(store);
                 scratch
@@ -160,7 +160,7 @@ fn bench_recovery(c: &mut Criterion) {
     let csv_path = csv_scratch.0.join("window.csv");
     {
         let mut store = TelemetryStore::new();
-        store.extend(records.iter().copied());
+        store.extend_validated(records.iter().copied());
         let mut out = Vec::new();
         write_csv(&store, &mut out).expect("render csv");
         std::fs::write(&csv_path, out).expect("write csv fixture");
@@ -173,7 +173,7 @@ fn bench_recovery(c: &mut Criterion) {
     let tail_scratch = sealed_store_dir(&records, "tail");
     {
         let mut store = TelemetryStore::open(&tail_scratch.0).expect("reopen tail store");
-        store.extend(hour_batch(HOURS));
+        store.extend_validated(hour_batch(HOURS));
         store.sync().expect("sync tail");
     }
 
@@ -229,7 +229,7 @@ fn bench_retention(c: &mut Criterion) {
     {
         let mut store = TelemetryStore::open(&month_scratch.0).expect("open month store");
         for d in 0..MONTH_DAYS {
-            store.extend((d * 24..(d + 1) * 24).flat_map(hour_batch));
+            store.extend_validated((d * 24..(d + 1) * 24).flat_map(hour_batch));
             store.seal();
             store.sync().expect("sync day");
         }
@@ -279,7 +279,7 @@ fn bench_retention(c: &mut Criterion) {
             || {
                 let scratch = copy_store_dir(&month_scratch.0, "rotate");
                 let mut store = TelemetryStore::open(&scratch.0).expect("open copy");
-                store.extend((MONTH_DAYS * 24..(MONTH_DAYS + 1) * 24).flat_map(hour_batch));
+                store.extend_validated((MONTH_DAYS * 24..(MONTH_DAYS + 1) * 24).flat_map(hour_batch));
                 store.seal();
                 (scratch, store)
             },

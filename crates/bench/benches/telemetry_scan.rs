@@ -71,14 +71,14 @@ fn monitor_window() -> Vec<MachineHourRecord> {
 
 fn build_columnar(records: &[MachineHourRecord]) -> TelemetryStore {
     let mut store = TelemetryStore::new();
-    store.extend(records.iter().copied());
+    store.extend_validated(records.iter().copied());
     store.seal(); // index built here, outside every timed region
     store
 }
 
 fn build_reference(records: &[MachineHourRecord]) -> RefStore {
     let mut store = RefStore::new();
-    store.extend(records.iter().copied());
+    store.extend_validated(records.iter().copied());
     store
 }
 
@@ -218,7 +218,7 @@ fn bench_seal(c: &mut Criterion) {
             || records.clone(),
             |rs| {
                 let mut store = TelemetryStore::new();
-                store.extend(rs);
+                store.extend_validated(rs);
                 store.seal();
                 store
             },
@@ -252,7 +252,7 @@ fn bench_stream(c: &mut Criterion) {
     // combined stream before any timing is believed.
     {
         let mut streamed = sealed.clone();
-        streamed.extend(batch.iter().copied());
+        streamed.extend_validated(batch.iter().copied());
         assert!(!streamed.is_sealed(), "one hour must stay in the delta");
         let mut all = records.clone();
         all.extend(batch.iter().copied());
@@ -273,7 +273,7 @@ fn bench_stream(c: &mut Criterion) {
                 store
             },
             |mut store| {
-                store.extend(batch.iter().copied());
+                store.extend_validated(batch.iter().copied());
                 group_utilization(black_box(&store))
             },
             BatchSize::LargeInput,
@@ -288,7 +288,7 @@ fn bench_stream(c: &mut Criterion) {
             },
             |all| {
                 let mut store = TelemetryStore::new();
-                store.extend(all);
+                store.extend_validated(all);
                 store.seal();
                 group_utilization(black_box(&store))
             },
@@ -303,7 +303,7 @@ fn bench_stream(c: &mut Criterion) {
             || {
                 let mut store = sealed.clone();
                 for h in 0..16 {
-                    store.extend(hour_batch(HOURS + h));
+                    store.extend_validated(hour_batch(HOURS + h));
                 }
                 assert!(!store.is_sealed(), "4,096 rows must stay in the delta");
                 store
@@ -320,7 +320,7 @@ fn bench_stream(c: &mut Criterion) {
             let mut store = TelemetryStore::new();
             let mut acc = 0.0;
             for h in 0..HOURS {
-                store.extend(hour_batch(h));
+                store.extend_validated(hour_batch(h));
                 acc += group_utilization(black_box(&store))
                     .iter()
                     .map(|g| g.mean_cpu_utilization)

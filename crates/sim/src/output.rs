@@ -160,8 +160,10 @@ pub struct SimOutput {
     /// Jobs not yet finished when the simulation ended.
     pub jobs_in_flight_at_end: u64,
     /// Telemetry records rejected at ingest because a metric was
-    /// non-finite (the same validation CSV ingest applies). Zero in any
-    /// healthy run; non-zero flags a degenerate workload calibration.
+    /// non-finite (the same validation CSV ingest applies), counting
+    /// both the per-domain flushes and the fan-in merge of domain
+    /// stores. Zero in any healthy run; non-zero flags a degenerate
+    /// workload calibration.
     pub nonfinite_dropped: u64,
 }
 
@@ -178,9 +180,10 @@ impl SimOutput {
     /// Folds one scheduling domain's output into this one. The federated
     /// engine calls this in domain order, so job/task logs concatenate
     /// deterministically; telemetry merges through the store's validating
-    /// path and counters add key-wise.
+    /// path, whose rejections add to `nonfinite_dropped`, and counters
+    /// add key-wise.
     pub fn absorb(&mut self, other: SimOutput) {
-        self.telemetry.merge(other.telemetry);
+        self.nonfinite_dropped += self.telemetry.merge(other.telemetry) as u64;
         self.jobs.extend(other.jobs);
         self.tasks.extend(other.tasks);
         self.counters.absorb(other.counters);

@@ -74,9 +74,8 @@ pub enum CsvError {
     /// A metric field parsed as a float but was NaN or infinite. Typed
     /// separately from [`CsvError::BadRow`] so ingestion pipelines can
     /// distinguish "malformed file" from "well-formed file carrying
-    /// poisoned measurements" — the store itself only guards against
-    /// non-finite values with a `debug_assert`, so this check is the
-    /// release-build gate.
+    /// poisoned measurements". The store would only drop and count such
+    /// a row; this error rejects the file and names where it went bad.
     NonFinite {
         /// Line number in the file.
         line: usize,
@@ -334,9 +333,9 @@ mod tests {
             write_csv(&sample_store(), &mut buf).unwrap();
             String::from_utf8(buf).unwrap()
         };
-        // "NaN" and "inf" both parse as f64 — a release build with only
-        // the store's debug_assert would ingest them silently. The typed
-        // error names the line and the column.
+        // "NaN" and "inf" both parse as f64; the store alone would drop
+        // the row and go on. The typed error names the line and the
+        // column.
         let nan_row = good.replacen("61.25", "NaN", 1);
         match read_csv(nan_row.as_bytes()) {
             Err(CsvError::NonFinite { line, column }) => {

@@ -20,9 +20,12 @@
 //!   run carries its inclusive `[min_hour, max_hour]` bounds, so
 //!   hour-windowed queries skip runs that cannot contain the window.
 //! * The **delta** is the tail of the record log appended since the last
-//!   seal. On first query it is sealed into a *mini* `ColumnIndex` of
-//!   its own (cost `O(d log d)` for `d` delta rows — small by
-//!   construction), cached until the next mutation.
+//!   seal through the one ingest path,
+//!   [`extend_validated`](TelemetryStore::extend_validated), which drops
+//!   and counts non-finite rows in every build profile. On first query
+//!   it is sealed into a *mini* `ColumnIndex` of its own (cost
+//!   `O(d log d)` for `d` delta rows — small by construction), cached
+//!   until the next mutation.
 //!
 //! Every view ([`by_group`](TelemetryStore::by_group),
 //! [`by_hours`](TelemetryStore::by_hours), …) and every fused kernel in
@@ -82,35 +85,45 @@ const MIN_SEGMENT_ROWS: usize = 4096;
 /// syncs.
 const DEFAULT_SEGMENT_CACHE: usize = 8;
 
-/// One sealed, immutable run of the store.
-///
-/// Invariants: `rows >= 1` (empty runs are never created); when `seg`
-/// is `None` the run exists only in memory and `index` is always
-/// resident (there is nothing to reload it from).
+/// One sealed, immutable run of the store. Empty runs are never
+/// created: [`SealedRun::dirty`] refuses an empty index.
 #[derive(Debug)]
 struct SealedRun {
     /// Row count (also recorded in the manifest once persisted).
     rows: usize,
     /// Inclusive `[min_hour, max_hour]` covered by the run.
     bounds: (u64, u64),
-    /// Segment file name once persisted by a sync; `None` while dirty.
-    seg: Option<String>,
-    /// Decoded index; for segment-backed runs, loaded lazily on first
-    /// touch and evictable at `&mut self` points.
-    index: OnceLock<ColumnIndex>,
+    /// Where the run's rows live.
+    state: RunState,
     /// LRU stamp from the store's touch clock (Relaxed is enough: the
     /// stamp only orders evictions, never gates an observable read).
     touch: AtomicU64,
 }
 
+/// A run is either only in memory, and then its index is the only copy,
+/// or persisted, and then its index can always be reloaded from disk.
+#[derive(Debug)]
+enum RunState {
+    /// Born from a seal or a merge and not yet spilled by a sync.
+    /// Never evicted: disk holds nothing to reload it from.
+    Dirty(ColumnIndex),
+    /// Persisted as segment `seg`.
+    Clean {
+        /// Segment file name.
+        seg: String,
+        /// Decoded index, loaded lazily on first touch and evictable at
+        /// `&mut self` points.
+        index: OnceLock<ColumnIndex>,
+    },
+}
+
 impl SealedRun {
-    /// A run born in memory from `index`, with `bounds` already
-    /// extracted by the caller (who also guarantees non-emptiness).
-    fn dirty(index: ColumnIndex, bounds: (u64, u64)) -> SealedRun {
+    /// A run born in memory from `index`, or `None` when `index` is
+    /// empty.
+    fn dirty(index: ColumnIndex) -> Option<SealedRun> {
+        let bounds = index.hours.first().copied().zip(index.hours.last().copied())?;
         let rows = index.sorted.len();
-        let cell = OnceLock::new();
-        let _ = cell.set(index);
-        SealedRun { rows, bounds, seg: None, index: cell, touch: AtomicU64::new(0) }
+        Some(SealedRun { rows, bounds, state: RunState::Dirty(index), touch: AtomicU64::new(0) })
     }
 }
 
@@ -167,11 +180,7 @@ impl Clone for TelemetryStore {
         let runs = self
             .runs
             .iter()
-            .filter_map(|r| {
-                let index = self.run_side(r).clone();
-                let bounds = index.hours.first().copied().zip(index.hours.last().copied())?;
-                Some(SealedRun::dirty(index, bounds))
-            })
+            .filter_map(|r| SealedRun::dirty(self.run_side(r).clone()))
             .collect();
         TelemetryStore {
             runs,
@@ -806,18 +815,14 @@ impl TelemetryStore {
         let runs = recovered
             .runs
             .into_iter()
-            .map(|r| {
-                let cell = OnceLock::new();
-                if let Some(index) = r.index {
-                    let _ = cell.set(index);
-                }
-                SealedRun {
-                    rows: r.rows,
-                    bounds: r.bounds,
-                    seg: Some(r.name),
-                    index: cell,
-                    touch: AtomicU64::new(0),
-                }
+            .map(|r| SealedRun {
+                rows: r.rows,
+                bounds: r.bounds,
+                state: RunState::Clean {
+                    seg: r.name,
+                    index: r.index.map(OnceLock::from).unwrap_or_default(),
+                },
+                touch: AtomicU64::new(0),
             })
             .collect();
         Ok(TelemetryStore {
@@ -841,7 +846,7 @@ impl TelemetryStore {
     ///
     /// Records are durable — guaranteed to survive a crash or kill —
     /// only once `sync` returns `Ok`. A failed sync may be retried and
-    /// never duplicates records. `push`/`extend`/`seal` never touch
+    /// never duplicates records. Appends and `seal` never touch
     /// disk. Returns [`persist::PersistError::NotDurable`] on a store
     /// that was not created by [`TelemetryStore::open`], and refuses
     /// (with the original diagnosis) on a store degraded by a corrupt
@@ -861,16 +866,13 @@ impl TelemetryStore {
         let refs: Vec<persist::RunRef<'_>> = self
             .runs
             .iter()
-            .map(|r| match (&r.seg, r.index.get()) {
-                (Some(name), _) => persist::RunRef::Clean {
-                    name,
+            .map(|r| match &r.state {
+                RunState::Clean { seg, .. } => persist::RunRef::Clean {
+                    name: seg,
                     rows: r.rows as u64,
                     bounds: r.bounds,
                 },
-                (None, Some(index)) => persist::RunRef::Dirty { index },
-                // Unreachable by invariant (dirty runs are resident);
-                // an empty side is simply skipped by the rotation.
-                (None, None) => persist::RunRef::Dirty { index: empty_index() },
+                RunState::Dirty(index) => persist::RunRef::Dirty { index },
             })
             .collect();
         let Some(backing) = self.backing.as_mut() else {
@@ -878,9 +880,14 @@ impl TelemetryStore {
         };
         let (stats, assigned) = backing.sync(&refs, &self.tail)?;
         drop(refs);
-        for (run, name) in self.runs.iter_mut().zip(assigned) {
-            if let Some(name) = name {
-                run.seg = Some(name);
+        // A spilled run turns clean and keeps its index resident.
+        for (run, seg) in self.runs.iter_mut().zip(assigned) {
+            let Some(seg) = seg else { continue };
+            let clean = RunState::Clean { seg, index: OnceLock::new() };
+            if let (RunState::Dirty(index), RunState::Clean { index: cell, .. }) =
+                (std::mem::replace(&mut run.state, clean), &run.state)
+            {
+                let _ = cell.set(index);
             }
         }
         self.evict_cold();
@@ -921,7 +928,10 @@ impl TelemetryStore {
     /// Number of sealed runs with a decoded index resident in memory —
     /// what hour-bound pruning and the LRU cache actually bound.
     pub fn resident_runs(&self) -> usize {
-        self.runs.iter().filter(|r| r.index.get().is_some()).count()
+        let unloaded = |r: &&SealedRun| {
+            matches!(&r.state, RunState::Clean { index, .. } if index.get().is_none())
+        };
+        self.runs.len() - self.runs.iter().filter(unloaded).count()
     }
 
     /// Caps how many decoded segment-backed runs stay resident across
@@ -933,62 +943,46 @@ impl TelemetryStore {
         self.evict_cold();
     }
 
-    /// Appends one record into the delta buffer. The sealed runs are
-    /// left untouched; only the delta mini-index is invalidated.
-    /// Non-finite metric blocks are rejected by debug assertion — the
-    /// simulator must never emit them (CSV ingest checks them with a
-    /// typed error instead, see [`crate::csv`]). Seals when the delta
-    /// outgrows its threshold.
-    pub fn push(&mut self, record: MachineHourRecord) {
-        debug_assert!(record.metrics.is_finite(), "non-finite telemetry emitted");
-        self.delta.take();
-        self.tail.push(record);
-        self.maybe_compact();
+    /// Appends one record into the delta buffer, unless a metric is
+    /// non-finite: returns whether the record was stored. A thin
+    /// wrapper over [`extend_validated`](TelemetryStore::extend_validated),
+    /// so it validates in every build profile.
+    pub fn push(&mut self, record: MachineHourRecord) -> bool {
+        self.extend_validated(std::iter::once(record)) == 0
     }
 
-    /// Appends many records as one batch: the seal threshold is checked
-    /// once per call, so a bulk load seals at most once.
-    pub fn extend(&mut self, records: impl IntoIterator<Item = MachineHourRecord>) {
-        self.delta.take();
-        for record in records {
-            debug_assert!(record.metrics.is_finite(), "non-finite telemetry emitted");
-            self.tail.push(record);
-        }
-        self.maybe_compact();
-    }
-
-    /// Appends a batch like [`extend`](TelemetryStore::extend), but with
-    /// the non-finite validation CSV ingest applies enforced in *every*
-    /// build profile: records carrying a NaN or infinite metric are
-    /// dropped and counted instead of debug-asserted. Returns the number
-    /// of records rejected (zero for any healthy producer).
-    ///
-    /// This is the ingest path for machine-generated record streams — the
-    /// simulator flushes through it — where a debug-only assertion would
-    /// let a poisoned metric (e.g. a lognormal sampler overflowing to
-    /// `inf` under a degenerate calibration) slip into release-mode
-    /// stores and surface later as NaN aggregates.
+    /// Appends a batch into the delta buffer — the store's one ingest
+    /// path. Records carrying a NaN or infinite metric are dropped and
+    /// counted, in every build profile, so a poisoned metric (e.g. a
+    /// lognormal sampler overflowing to `inf` under a degenerate
+    /// calibration) never reaches the kernels as NaN aggregates. CSV
+    /// ingest rejects the same rows earlier, with a typed error that
+    /// names the line (see [`crate::csv`]). The sealed runs are left
+    /// untouched; only the delta mini-index is invalidated, and the
+    /// seal threshold is checked once per call, so a bulk load seals at
+    /// most once. Returns the number of records rejected (zero for any
+    /// healthy producer).
     pub fn extend_validated(
         &mut self,
         records: impl IntoIterator<Item = MachineHourRecord>,
     ) -> usize {
         self.delta.take();
-        let mut dropped = 0usize;
+        let mut rejected = 0usize;
         for record in records {
             if record.metrics.is_finite() {
                 self.tail.push(record);
             } else {
-                dropped += 1;
+                rejected += 1;
             }
         }
         self.maybe_compact();
-        dropped
+        rejected
     }
 
     /// Merges another store into this one (e.g. combining experiment and
-    /// control windows collected separately). Routed through the same
-    /// batch append — and therefore the same non-finite validation — as
-    /// [`extend`](TelemetryStore::extend).
+    /// control windows collected separately) through
+    /// [`extend_validated`](TelemetryStore::extend_validated), and
+    /// returns how many of its records were rejected as non-finite.
     ///
     /// Every source run is read through the lazy-load path queries use,
     /// so runs a durable source left on disk (after a reopen, or evicted
@@ -996,17 +990,18 @@ impl TelemetryStore {
     /// merges as empty, and its diagnosis carries over: this store's
     /// [`verify`](TelemetryStore::verify) then reports it, and
     /// [`sync`](TelemetryStore::sync) refuses.
-    pub fn merge(&mut self, mut other: TelemetryStore) {
+    pub fn merge(&mut self, mut other: TelemetryStore) -> usize {
+        let mut rejected = 0;
         // Each decoded source run is dropped as soon as it is copied.
         for run in std::mem::take(&mut other.runs) {
-            self.extend(other.run_side(&run).sorted.iter().copied());
+            rejected += self.extend_validated(other.run_side(&run).sorted.iter().copied());
         }
         let carried = other.degraded.get_mut().unwrap_or_else(PoisonError::into_inner).take();
         let slot = self.degraded.get_mut().unwrap_or_else(PoisonError::into_inner);
         if slot.is_none() {
             *slot = carried;
         }
-        self.extend(std::mem::take(&mut other.tail));
+        rejected + self.extend_validated(std::mem::take(&mut other.tail))
     }
 
     /// Reserves capacity for at least `additional` more records, so a
@@ -1100,12 +1095,10 @@ impl TelemetryStore {
             .take()
             .unwrap_or_else(|| ColumnIndex::build(&self.tail));
         self.tail.clear();
-        let Some(bounds) = delta.hours.first().copied().zip(delta.hours.last().copied())
-        else {
-            return; // Empty delta: nothing to seal.
-        };
-        self.runs.push(SealedRun::dirty(delta, bounds));
-        self.ladder_compact();
+        if let Some(run) = SealedRun::dirty(delta) {
+            self.runs.push(run);
+            self.ladder_compact();
+        }
     }
 
     /// Binary-counter compaction: merge the two newest runs while the
@@ -1164,14 +1157,12 @@ impl TelemetryStore {
             ColumnIndex::merge_many(&sides)
         };
         self.runs = head;
-        if let Some(bounds) = merged.hours.first().copied().zip(merged.hours.last().copied()) {
-            self.runs.push(SealedRun::dirty(merged, bounds));
-        }
+        self.runs.extend(SealedRun::dirty(merged));
         self.runs.append(&mut rest);
     }
 
-    /// The decoded index of one run, loading it from its segment on
-    /// first touch and stamping the LRU clock. A load failure marks the
+    /// The decoded index of one run, stamping the LRU clock. A clean run
+    /// loads from its segment on first touch; a load failure marks the
     /// store degraded and serves the run as empty — queries stay
     /// infallible; [`TelemetryStore::verify`] surfaces the diagnosis.
     fn run_side<'a>(&'a self, run: &'a SealedRun) -> &'a ColumnIndex {
@@ -1179,27 +1170,21 @@ impl TelemetryStore {
             self.touch_clock.fetch_add(1, Ordering::Relaxed) + 1,
             Ordering::Relaxed,
         );
-        run.index.get_or_init(|| {
-            let loaded = match (&self.backing, &run.seg) {
-                (Some(backing), Some(name)) => {
-                    match persist::segment::load_segment(
-                        backing.dir(),
-                        name,
-                        run.rows as u64,
-                        Some(run.bounds),
-                    ) {
-                        Ok(index) => Some(index),
-                        Err(err) => {
-                            self.note_degraded(&err);
-                            None
-                        }
-                    }
+        let (seg, index) = match &run.state {
+            RunState::Dirty(index) => return index,
+            RunState::Clean { seg, index } => (seg, index),
+        };
+        index.get_or_init(|| {
+            let loaded = match &self.backing {
+                Some(b) => {
+                    persist::segment::load_segment(b.dir(), seg, run.rows as u64, Some(run.bounds))
                 }
-                // Unreachable by invariant (a run without a segment is
-                // always resident); serve empty rather than panic.
-                _ => None,
+                None => Err(persist::PersistError::NotDurable),
             };
-            loaded.unwrap_or_else(|| empty_index().clone())
+            loaded.unwrap_or_else(|err| {
+                self.note_degraded(&err);
+                empty_index().clone()
+            })
         })
     }
 
@@ -1242,8 +1227,12 @@ impl TelemetryStore {
             .runs
             .iter()
             .enumerate()
-            .filter(|(_, r)| r.seg.is_some() && r.index.get().is_some())
-            .map(|(i, r)| (r.touch.load(Ordering::Relaxed), i))
+            .filter_map(|(i, r)| match &r.state {
+                RunState::Clean { index, .. } if index.get().is_some() => {
+                    Some((r.touch.load(Ordering::Relaxed), i))
+                }
+                _ => None,
+            })
             .collect();
         if resident.len() <= self.cache_limit {
             return;
@@ -1251,8 +1240,9 @@ impl TelemetryStore {
         resident.sort_unstable();
         let over = resident.len() - self.cache_limit;
         for &(_, i) in resident.iter().take(over) {
-            if let Some(run) = self.runs.get_mut(i) {
-                run.index.take();
+            let state = self.runs.get_mut(i).map(|r| &mut r.state);
+            if let Some(RunState::Clean { index, .. }) = state {
+                index.take();
             }
         }
     }
@@ -1429,17 +1419,23 @@ pub mod reference {
             Self::default()
         }
 
-        /// Appends one record.
-        pub fn push(&mut self, record: MachineHourRecord) {
-            debug_assert!(record.metrics.is_finite(), "non-finite telemetry emitted");
-            self.records.push(record);
+        /// Appends one record unless a metric is non-finite; returns
+        /// whether it was stored.
+        pub fn push(&mut self, record: MachineHourRecord) -> bool {
+            let finite = record.metrics.is_finite();
+            if finite {
+                self.records.push(record);
+            }
+            finite
         }
 
-        /// Appends many records.
-        pub fn extend(&mut self, records: impl IntoIterator<Item = MachineHourRecord>) {
-            for r in records {
-                self.push(r);
-            }
+        /// Appends many records through [`push`](TelemetryStore::push);
+        /// returns how many were rejected as non-finite.
+        pub fn extend_validated(
+            &mut self,
+            records: impl IntoIterator<Item = MachineHourRecord>,
+        ) -> usize {
+            records.into_iter().filter(|&r| !self.push(r)).count()
         }
 
         /// Number of records.
@@ -1511,11 +1507,11 @@ pub mod reference {
             Some((min, max + 1))
         }
 
-        /// Merges another store into this one, routed through
-        /// [`extend`](TelemetryStore::extend) so merged records face the
-        /// same non-finite validation as pushed ones.
-        pub fn merge(&mut self, other: TelemetryStore) {
-            self.extend(other.records);
+        /// Merges another store into this one through
+        /// [`extend_validated`](TelemetryStore::extend_validated);
+        /// returns how many of its records were rejected as non-finite.
+        pub fn merge(&mut self, other: TelemetryStore) -> usize {
+            self.extend_validated(other.records)
         }
     }
 
@@ -1524,26 +1520,49 @@ pub mod reference {
         use super::*;
         use crate::record::{MetricValues, ScId, SkuId};
 
-        /// Regression twin of the columnar store's test: the reference
-        /// `merge` must apply the same non-finite validation as `push`.
-        #[test]
-        #[cfg(debug_assertions)]
-        #[should_panic(expected = "non-finite telemetry emitted")]
-        fn merge_rejects_non_finite_records() {
-            let bad_record = MachineHourRecord {
-                machine: MachineId(1),
+        fn rec(machine: u32, hour: u64, cpu: f64) -> MachineHourRecord {
+            MachineHourRecord {
+                machine: MachineId(machine),
                 group: GroupKey::new(SkuId(0), ScId(0)),
-                hour: 0,
+                hour,
                 metrics: MetricValues {
-                    cpu_utilization: f64::INFINITY,
+                    cpu_utilization: cpu,
                     ..Default::default()
                 },
-            };
-            let bad = TelemetryStore {
-                records: vec![bad_record],
-            };
+            }
+        }
+
+        /// Twin of the columnar store's test: `push`, `extend_validated`
+        /// and `merge` reject non-finite rows with counts in every build
+        /// profile.
+        #[test]
+        fn appends_reject_non_finite_in_all_profiles() {
             let mut store = TelemetryStore::new();
-            store.merge(bad);
+            assert!(store.push(rec(1, 0, 1.0)));
+            assert!(!store.push(rec(1, 1, f64::NAN)));
+            assert_eq!(
+                store.extend_validated(vec![
+                    rec(2, 0, f64::INFINITY),
+                    rec(2, 1, 2.0),
+                    rec(2, 2, f64::NEG_INFINITY),
+                ]),
+                2
+            );
+            assert_eq!(store.len(), 2);
+            // A source store built around the validated entry points,
+            // the way a corrupted window would arrive from outside.
+            let bad = TelemetryStore {
+                records: vec![
+                    rec(3, 0, f64::NAN),
+                    rec(3, 1, f64::INFINITY),
+                    rec(3, 2, f64::NEG_INFINITY),
+                    rec(3, 3, 3.0),
+                ],
+            };
+            assert_eq!(store.merge(bad), 3);
+            assert_eq!(store.len(), 3);
+            assert!(store.iter().all(|r| r.metrics.is_finite()));
+            assert_eq!(store.merge(TelemetryStore::new()), 0);
         }
     }
 }
@@ -1588,23 +1607,42 @@ mod tests {
         assert_eq!(store.by_hours(1, 2).count(), 1);
     }
 
+    /// Regression: `push` and the batch append used to check finiteness
+    /// only by debug assertion, and `merge` inherited that, so release
+    /// builds stored NaN. Every append now rejects and counts non-finite
+    /// rows in every build profile.
     #[test]
-    fn extend_validated_rejects_non_finite_in_all_profiles() {
+    fn appends_reject_non_finite_in_all_profiles() {
         let mut store = TelemetryStore::new();
-        // Plain `extend` only debug-asserts; `extend_validated` must
-        // reject these even in release builds.
-        let dropped = store.extend_validated(vec![
-            rec(1, 0, 0, 10.0),
-            rec(1, 0, 1, f64::NAN),
-            rec(1, 0, 2, f64::INFINITY),
-            rec(2, 0, 0, 20.0),
-        ]);
-        assert_eq!(dropped, 2);
+        assert!(store.push(rec(1, 0, 0, 10.0)));
+        assert!(!store.push(rec(1, 0, 1, f64::NAN)));
+        assert!(!store.push(rec(1, 0, 2, f64::NEG_INFINITY)));
+        assert_eq!(
+            store.extend_validated(vec![
+                rec(2, 0, 0, f64::NAN),
+                rec(2, 0, 1, 20.0),
+                rec(2, 0, 2, f64::INFINITY),
+                rec(2, 0, 3, f64::NEG_INFINITY),
+            ]),
+            3
+        );
         assert_eq!(store.len(), 2);
+        // A source store built around the validated entry points, the
+        // way a corrupted window would arrive from outside: bad rows in
+        // both a sealed run and the delta tail.
+        let bad_run = [rec(3, 0, 0, f64::INFINITY), rec(3, 0, 1, 30.0)];
+        let bad = TelemetryStore {
+            runs: SealedRun::dirty(ColumnIndex::build(&bad_run)).into_iter().collect(),
+            tail: vec![rec(4, 0, 0, f64::NAN), rec(4, 0, 1, f64::NEG_INFINITY), rec(4, 0, 2, 40.0)],
+            ..TelemetryStore::default()
+        };
+        assert_eq!(store.merge(bad), 3);
+        assert_eq!(store.len(), 4);
         assert!(store.iter().all(|r| r.metrics.is_finite()));
         // Clean batches pass through untouched.
-        assert_eq!(store.extend_validated(vec![rec(3, 0, 0, 5.0)]), 0);
-        assert_eq!(store.len(), 3);
+        assert_eq!(store.extend_validated(vec![rec(5, 0, 0, 5.0)]), 0);
+        assert_eq!(store.merge(TelemetryStore::new()), 0);
+        assert_eq!(store.len(), 5);
     }
 
     #[test]
@@ -1662,30 +1700,10 @@ mod tests {
         assert_eq!(a.len(), 2);
     }
 
-    /// Regression (previously: `merge` appended `other.records` directly,
-    /// bypassing the non-finite guard that `push` enforces, so a store
-    /// assembled from per-window merges could smuggle NaN metrics into
-    /// the kernels). `merge` now routes through the same validated batch
-    /// append as `extend`.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "non-finite telemetry emitted")]
-    fn merge_rejects_non_finite_records() {
-        // Build the offending store around the validated entry points,
-        // the way a corrupted window would arrive from outside.
-        let bad = TelemetryStore {
-            tail: vec![rec(1, 0, 0, f64::NAN)],
-            ..TelemetryStore::default()
-        };
-        let mut store = TelemetryStore::new();
-        store.push(rec(2, 0, 0, 1.0));
-        store.merge(bad);
-    }
-
     #[test]
     fn extend_from_iterator() {
         let mut store = TelemetryStore::new();
-        store.extend((0..10).map(|h| rec(1, 0, h, h as f64)));
+        store.extend_validated((0..10).map(|h| rec(1, 0, h, h as f64)));
         assert_eq!(store.len(), 10);
         assert!(store.iter().all(|r| r.machine == MachineId(1)));
     }
@@ -1759,7 +1777,7 @@ mod tests {
     fn automatic_compaction_past_threshold() {
         let mut store = TelemetryStore::new();
         // One batch bigger than the floor seals once at the end.
-        store.extend((0..1500u64).map(|i| rec((i % 7) as u32, 0, i, i as f64)));
+        store.extend_validated((0..1500u64).map(|i| rec((i % 7) as u32, 0, i, i as f64)));
         assert!(store.is_sealed(), "bulk extend seals at call end");
         // Small pushes stay in the delta…
         for i in 0..100u64 {
@@ -1768,7 +1786,7 @@ mod tests {
         assert!(!store.is_sealed());
         assert_eq!(store.delta_len(), 100);
         // …until the per-call check crosses the delta floor.
-        store.extend((0..1000u64).map(|i| rec(2, 0, 3000 + i, 0.0)));
+        store.extend_validated((0..1000u64).map(|i| rec(2, 0, 3000 + i, 0.0)));
         assert!(store.is_sealed(), "threshold crossing seals");
         assert_eq!(store.len(), 2600);
         assert_eq!(store.by_hours(0, 5000).count(), 2600);
@@ -1783,7 +1801,7 @@ mod tests {
         // the live run count stays logarithmic in the batch count.
         let mut store = TelemetryStore::new();
         for b in 0..64u64 {
-            store.extend((0..32u64).map(|i| rec((i % 4) as u32, 0, b * 32 + i, 0.0)));
+            store.extend_validated((0..32u64).map(|i| rec((i % 4) as u32, 0, b * 32 + i, 0.0)));
             store.seal();
             assert!(
                 store.run_count() <= 7,
@@ -1800,9 +1818,9 @@ mod tests {
         let mut store = TelemetryStore::new();
         // Two runs with disjoint hour ranges. Equal sizes would
         // ladder-merge, so make the elder strictly larger.
-        store.extend((0..20u64).map(|h| rec(1, 0, h, 0.0)));
+        store.extend_validated((0..20u64).map(|h| rec(1, 0, h, 0.0)));
         store.seal();
-        store.extend((100..110u64).map(|h| rec(1, 0, h, 0.0)));
+        store.extend_validated((100..110u64).map(|h| rec(1, 0, h, 0.0)));
         store.seal();
         assert_eq!(store.run_count(), 2);
         // A window inside the second run's bounds consults one side.
@@ -1840,9 +1858,9 @@ mod tests {
             })
             .collect();
         for batch in &batches {
-            merged.extend(batch.iter().copied());
+            merged.extend_validated(batch.iter().copied());
             merged.seal(); // a run per batch (modulo ladder merges)
-            rebuilt.extend(batch.iter().copied());
+            rebuilt.extend_validated(batch.iter().copied());
         }
         merged.compact_segments(); // all bounds overlap → one run
         rebuilt.seal();
@@ -1975,7 +1993,7 @@ mod tests {
     #[test]
     fn clone_is_detached_and_equal() {
         let mut store = TelemetryStore::new();
-        store.extend((0..50u64).map(|i| rec((i % 5) as u32, 0, i, i as f64)));
+        store.extend_validated((0..50u64).map(|i| rec((i % 5) as u32, 0, i, i as f64)));
         store.seal();
         store.push(rec(9, 1, 60, 1.0));
         let mut twin = store.clone();

@@ -2,7 +2,9 @@
 //! reproduce the pre-columnar reference implementations bit-for-bit on
 //! structure and to 1e-9 on floating-point aggregates, for *any* record
 //! stream — including shuffled insertion orders, duplicate
-//! `(machine, hour)` rows, and sparse hour domains.
+//! `(machine, hour)` rows, sparse hour domains, and a small share of rows
+//! carrying a non-finite metric, which both stores must reject with the
+//! same counts.
 //!
 //! The reference store ([`kea_telemetry::store::reference`]) and reference
 //! roll-ups ([`kea_telemetry::aggregate::reference`]) are the executable
@@ -25,6 +27,9 @@ use std::collections::BTreeSet;
 /// so fleet series must zero-fill and day roll-ups see partial days.
 const HOURS: [u64; 12] = [0, 1, 2, 5, 23, 24, 47, 48, 49, 120, 121, 500];
 
+/// A record over the narrow domain above. About one in eleven carries a
+/// NaN, +inf or −inf in exactly one metric, which every append must
+/// reject.
 fn arb_record() -> impl Strategy<Value = MachineHourRecord> {
     (
         0u32..6,
@@ -35,25 +40,33 @@ fn arb_record() -> impl Strategy<Value = MachineHourRecord> {
         0.0..500.0f64,
         0.0..900.0f64,
         0.0..3000.0f64,
+        0u8..32,
     )
-        .prop_map(
-            |(machine, sku, hour_idx, cpu, containers, tasks, data, exec)| MachineHourRecord {
+        .prop_map(|(machine, sku, hour_idx, cpu, containers, tasks, data, exec, poison)| {
+            let mut metrics = MetricValues {
+                cpu_utilization: cpu,
+                avg_running_containers: containers,
+                tasks_finished: tasks,
+                total_data_read_gb: data,
+                task_exec_time_s: exec,
+                cpu_time_s: exec * 0.5,
+                avg_task_latency_s: cpu * 0.1,
+                power_draw_w: 200.0 + cpu,
+                ..Default::default()
+            };
+            match poison {
+                0 => metrics.cpu_utilization = f64::NAN,
+                1 => metrics.avg_running_containers = f64::INFINITY,
+                2 => metrics.total_data_read_gb = f64::NEG_INFINITY,
+                _ => {}
+            }
+            MachineHourRecord {
                 machine: MachineId(machine),
                 group: GroupKey::new(SkuId(sku), ScId(1 + (machine % 2) as u8)),
                 hour: HOURS[hour_idx % HOURS.len()],
-                metrics: MetricValues {
-                    cpu_utilization: cpu,
-                    avg_running_containers: containers,
-                    tasks_finished: tasks,
-                    total_data_read_gb: data,
-                    task_exec_time_s: exec,
-                    cpu_time_s: exec * 0.5,
-                    avg_task_latency_s: cpu * 0.1,
-                    power_draw_w: 200.0 + cpu,
-                    ..Default::default()
-                },
-            },
-        )
+                metrics,
+            }
+        })
 }
 
 /// Total order over records so view outputs can be compared as multisets
@@ -85,14 +98,16 @@ fn close(a: f64, b: f64) -> bool {
 }
 
 /// Builds the reference store in generation order and the columnar store
-/// from a seed-shuffled copy of the same records.
+/// from a seed-shuffled copy of the same records; both must reject the
+/// same number of them.
 fn build_pair(records: &[MachineHourRecord], seed: u64) -> (RefStore, TelemetryStore) {
     let mut reference = RefStore::new();
-    reference.extend(records.iter().copied());
+    let rejected = reference.extend_validated(records.iter().copied());
     let mut shuffled = records.to_vec();
     shuffled.shuffle(&mut StdRng::seed_from_u64(seed));
     let mut columnar = TelemetryStore::new();
-    columnar.extend(shuffled);
+    prop_assert_eq!(columnar.extend_validated(shuffled), rejected);
+    prop_assert_eq!(rejected, records.iter().filter(|r| !r.metrics.is_finite()).count());
     (reference, columnar)
 }
 
@@ -212,11 +227,11 @@ proptest! {
         // query results relative to a store that seals lazily on first
         // query, and appending after a seal must transparently re-index.
         let mut eager = TelemetryStore::new();
-        eager.extend(records.iter().copied());
+        let rejected = eager.extend_validated(records.iter().copied());
         eager.seal();
         prop_assert!(eager.is_sealed());
         let mut lazy = TelemetryStore::new();
-        lazy.extend(records.iter().copied());
+        prop_assert_eq!(lazy.extend_validated(records.iter().copied()), rejected);
 
         prop_assert_eq!(eager.hour_span(), lazy.hour_span());
         for g in eager.groups() {
@@ -238,11 +253,11 @@ proptest! {
             metrics: MetricValues { tasks_finished: 3.0, ..Default::default() },
         };
         let mut appended = eager;
-        appended.push(extra);
+        prop_assert!(appended.push(extra));
         prop_assert!(!appended.is_sealed());
         let mut rebuilt = TelemetryStore::new();
-        rebuilt.extend(records.iter().copied());
-        rebuilt.push(extra);
+        rebuilt.extend_validated(records.iter().copied());
+        prop_assert!(rebuilt.push(extra));
         prop_assert_eq!(appended.groups(), rebuilt.groups());
         prop_assert_eq!(
             sorted_keys(appended.by_group(extra.group)),
@@ -370,25 +385,21 @@ proptest! {
                 Op::PushBatch(records) => {
                     let mut shuffled = records.clone();
                     shuffled.shuffle(&mut rng);
-                    for r in &records {
-                        reference.push(*r);
-                    }
-                    for r in shuffled {
-                        columnar.push(r);
-                    }
+                    let ref_rejected = records.iter().filter(|&&r| !reference.push(r)).count();
+                    let col_rejected = shuffled.into_iter().filter(|&r| !columnar.push(r)).count();
+                    prop_assert_eq!(ref_rejected, col_rejected);
                 }
                 Op::Merge(records, seal_other) => {
                     let mut ref_other = RefStore::new();
-                    ref_other.extend(records.iter().copied());
+                    let rejected = ref_other.extend_validated(records.iter().copied());
                     let mut col_other = TelemetryStore::new();
                     let mut shuffled = records.clone();
                     shuffled.shuffle(&mut rng);
-                    col_other.extend(shuffled);
+                    prop_assert_eq!(col_other.extend_validated(shuffled), rejected);
                     if seal_other {
                         col_other.seal();
                     }
-                    reference.merge(ref_other);
-                    columnar.merge(col_other);
+                    prop_assert_eq!(reference.merge(ref_other), columnar.merge(col_other));
                 }
                 Op::Seal => {
                     columnar.seal();

@@ -223,13 +223,20 @@ fn live_segments(dir: &Path) -> Vec<PathBuf> {
 /// One mutation step against the durable store. `Sync` is the
 /// durability point; `Seal` cuts a new run so the next sync rotates WAL
 /// contents into a segment; `Compact` k-way merges overlapping or
-/// undersized adjacent runs.
+/// undersized adjacent runs. `MergeFrom` writes its records to a second
+/// durable store (sealed or not), reopens it, so its runs load lazily,
+/// and merges that in. `Clone` replaces the in-memory twin with a clone
+/// of the durable store. `CacheLimit1` caps decoded segments at one, so
+/// later queries evict and reload.
 #[derive(Debug, Clone)]
 enum Op {
     PushBatch(Vec<MachineHourRecord>),
     Seal,
     Sync,
     Compact,
+    MergeFrom(Vec<MachineHourRecord>, bool),
+    Clone,
+    CacheLimit1,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -238,14 +245,33 @@ fn arb_op() -> impl Strategy<Value = Op> {
         1 => Just(Op::Seal),
         2 => Just(Op::Sync),
         1 => Just(Op::Compact),
+        1 => (proptest::collection::vec(arb_record(), 1..60), any::<bool>())
+            .prop_map(|(rs, sealed)| Op::MergeFrom(rs, sealed)),
+        1 => Just(Op::Clone),
+        1 => Just(Op::CacheLimit1),
     ]
 }
 
+/// `records` written to a fresh durable store under `dir` (sealed into a
+/// segment when `sealed`, else left in the WAL), synced, and reopened.
+fn reopened_with(dir: &Path, records: &[MachineHourRecord], sealed: bool) -> TelemetryStore {
+    let mut store = TelemetryStore::open(dir).expect("open merge source");
+    assert_eq!(store.extend_validated(records.iter().copied()), 0);
+    if sealed {
+        store.seal();
+    }
+    store.sync().expect("sync merge source");
+    drop(store);
+    TelemetryStore::open(dir).expect("reopen merge source")
+}
+
 proptest! {
-    /// Graceful-path agreement: any interleaving of push/seal/sync,
-    /// closed with a sync, must reopen into a store that agrees with
-    /// the in-memory reference on every view and kernel — and a second
-    /// generation of appends on the *reopened* store must too.
+    /// Durable ≡ in-memory ≡ reference: any interleaving of the ops
+    /// above leaves the durable store and an in-memory twin agreeing
+    /// with the flat reference on every view and kernel after *every*
+    /// op. Closed with a sync, the durable store must reopen into a
+    /// store that still agrees — and a second generation of appends on
+    /// the *reopened* store must too.
     #[test]
     fn reopen_agrees_with_reference(
         ops in proptest::collection::vec(arb_op(), 1..10),
@@ -254,21 +280,45 @@ proptest! {
         let scratch = Scratch::new();
         let mut reference = RefStore::new();
         let mut store = TelemetryStore::open(scratch.path()).expect("open fresh");
+        let mut memory = TelemetryStore::new();
         prop_assert!(store.is_durable());
         prop_assert_eq!(store.storage_dir(), Some(scratch.path()));
 
         for op in &ops {
             match op {
                 Op::PushBatch(records) => {
-                    reference.extend(records.iter().copied());
-                    store.extend(records.iter().copied());
+                    let rejected = reference.extend_validated(records.iter().copied());
+                    prop_assert_eq!(store.extend_validated(records.iter().copied()), rejected);
+                    prop_assert_eq!(memory.extend_validated(records.iter().copied()), rejected);
                 }
-                Op::Seal => store.seal(),
+                Op::Seal => {
+                    store.seal();
+                    memory.seal();
+                }
                 Op::Sync => {
                     store.sync().expect("sync");
                 }
-                Op::Compact => store.compact_segments(),
+                Op::Compact => {
+                    store.compact_segments();
+                    memory.compact_segments();
+                }
+                Op::MergeFrom(records, sealed) => {
+                    let (a, b) = (Scratch::new(), Scratch::new());
+                    let mut other = RefStore::new();
+                    prop_assert_eq!(other.extend_validated(records.iter().copied()), 0);
+                    let rejected = reference.merge(other);
+                    prop_assert_eq!(store.merge(reopened_with(a.path(), records, *sealed)), rejected);
+                    prop_assert_eq!(memory.merge(reopened_with(b.path(), records, *sealed)), rejected);
+                }
+                Op::Clone => memory = store.clone(),
+                Op::CacheLimit1 => {
+                    store.set_segment_cache_limit(1);
+                    memory.set_segment_cache_limit(1);
+                }
             }
+            assert_agrees(&reference, &store);
+            assert_agrees(&reference, &memory);
+            prop_assert!(store.verify().is_ok());
         }
         store.sync().expect("final sync");
         drop(store);
@@ -278,8 +328,8 @@ proptest! {
 
         // Second generation: keep appending on the recovered store.
         let mut store = reopened;
-        reference.extend(tail.iter().copied());
-        store.extend(tail.iter().copied());
+        reference.extend_validated(tail.iter().copied());
+        store.extend_validated(tail.iter().copied());
         store.seal();
         store.sync().expect("sync after reopen");
         drop(store);
@@ -304,13 +354,13 @@ proptest! {
         let mut appended = Vec::new();
         let mut synced_len = 0usize;
         for batch in &batches {
-            store.extend(batch.iter().copied());
+            store.extend_validated(batch.iter().copied());
             appended.extend_from_slice(batch);
             store.sync().expect("sync");
             synced_len = appended.len();
         }
         // A few unsynced records sit only in memory — lost by design.
-        store.extend(batches.iter().flatten().take(3).copied());
+        store.extend_validated(batches.iter().flatten().take(3).copied());
         drop(store);
 
         // Crash mid-write: truncate the WAL at an arbitrary offset.
@@ -349,7 +399,7 @@ proptest! {
         // And the recovered store behaves exactly like a fresh store
         // over the recovered records.
         let mut reference = RefStore::new();
-        reference.extend(got.iter().copied());
+        reference.extend_validated(got.iter().copied());
         assert_agrees(&reference, &recovered);
     }
 
@@ -369,7 +419,7 @@ proptest! {
     ) {
         let scratch = Scratch::new();
         let mut store = TelemetryStore::open(scratch.path()).expect("open fresh");
-        store.extend(records.iter().copied());
+        store.extend_validated(records.iter().copied());
         store.seal();
         store.sync().expect("sync");
         drop(store);
@@ -431,14 +481,14 @@ fn sync_on_in_memory_store_is_not_durable() {
 fn clone_of_durable_store_is_detached() {
     let scratch = Scratch::new();
     let mut store = TelemetryStore::open(scratch.path()).expect("open");
-    store.extend((0..50).map(rec));
+    store.extend_validated((0..50).map(rec));
     store.sync().expect("sync");
 
     let mut clone = store.clone();
     assert!(!clone.is_durable());
     assert!(matches!(clone.sync(), Err(PersistError::NotDurable)));
     // Mutating the clone must not disturb the original's directory.
-    clone.extend((50..100).map(rec));
+    clone.extend_validated((50..100).map(rec));
     drop(store);
     let reopened = TelemetryStore::open(scratch.path()).expect("reopen");
     assert_eq!(reopened.len(), 50);
@@ -448,9 +498,9 @@ fn clone_of_durable_store_is_detached() {
 fn unsynced_records_are_lost_synced_records_survive() {
     let scratch = Scratch::new();
     let mut store = TelemetryStore::open(scratch.path()).expect("open");
-    store.extend((0..30).map(rec));
+    store.extend_validated((0..30).map(rec));
     store.sync().expect("sync");
-    store.extend((30..60).map(rec)); // never synced — the crash eats these
+    store.extend_validated((30..60).map(rec)); // never synced — the crash eats these
     drop(store);
 
     let reopened = TelemetryStore::open(scratch.path()).expect("reopen");
@@ -465,18 +515,18 @@ fn rotation_covers_compaction_spill_and_wal_reset() {
     let mut store = TelemetryStore::open(scratch.path()).expect("open");
     // Past the 1024 auto-compaction threshold: the store compacts on its
     // own, so the next sync must rotate without an explicit seal.
-    store.extend((0..2000).map(rec));
+    store.extend_validated((0..2000).map(rec));
     store.sync().expect("sync");
     assert!(!live_segments(scratch.path()).is_empty(), "compaction must spill a segment");
     // The tail past the compaction point rides in the WAL.
-    store.extend((2000..2010).map(rec));
+    store.extend_validated((2000..2010).map(rec));
     store.sync().expect("tail sync");
     drop(store);
 
     let reopened = TelemetryStore::open(scratch.path()).expect("reopen");
     assert_eq!(reopened.len(), 2010);
     let mut reference = RefStore::new();
-    reference.extend((0..2010).map(rec));
+    reference.extend_validated((0..2010).map(rec));
     assert_agrees(&reference, &reopened);
 }
 
@@ -484,7 +534,7 @@ fn rotation_covers_compaction_spill_and_wal_reset() {
 fn missing_manifest_with_store_files_is_typed_error() {
     let scratch = Scratch::new();
     let mut store = TelemetryStore::open(scratch.path()).expect("open");
-    store.extend((0..1500).map(rec));
+    store.extend_validated((0..1500).map(rec));
     store.seal();
     store.sync().expect("sync");
     drop(store);
@@ -526,7 +576,7 @@ fn manifest_path_traversal_is_rejected() {
 fn orphans_from_interrupted_rotation_are_swept() {
     let scratch = Scratch::new();
     let mut store = TelemetryStore::open(scratch.path()).expect("open");
-    store.extend((0..10).map(rec));
+    store.extend_validated((0..10).map(rec));
     store.sync().expect("sync");
     drop(store);
 
@@ -547,7 +597,7 @@ fn orphans_from_interrupted_rotation_are_swept() {
 fn quarantined_files_survive_the_sweep() {
     let scratch = Scratch::new();
     let mut store = TelemetryStore::open(scratch.path()).expect("open");
-    store.extend((0..40).map(rec));
+    store.extend_validated((0..40).map(rec));
     store.seal();
     store.sync().expect("sync");
     drop(store);
@@ -606,7 +656,7 @@ fn failed_wal_fsync_retry_is_idempotent() {
     let _guard = hook_guard();
     let scratch = Scratch::new();
     let mut store = TelemetryStore::open(scratch.path()).expect("open");
-    store.extend((0..100).map(rec));
+    store.extend_validated((0..100).map(rec));
 
     test_hooks::fail_next_wal_sync(scratch.path());
     let err = store.sync().expect_err("injected fsync failure must surface");
@@ -629,9 +679,9 @@ fn failed_wal_append_retry_has_no_duplicates_or_torn_frames() {
     let _guard = hook_guard();
     let scratch = Scratch::new();
     let mut store = TelemetryStore::open(scratch.path()).expect("open");
-    store.extend((0..50).map(rec));
+    store.extend_validated((0..50).map(rec));
     store.sync().expect("first sync");
-    store.extend((50..100).map(rec));
+    store.extend_validated((50..100).map(rec));
 
     test_hooks::fail_wal_append_mid_frame(scratch.path(), 20);
     let err = store.sync().expect_err("injected append failure must surface");
@@ -653,9 +703,9 @@ fn manifest_flip_crash_preserves_previous_state() {
     let _guard = hook_guard();
     let scratch = Scratch::new();
     let mut store = TelemetryStore::open(scratch.path()).expect("open");
-    store.extend((0..100).map(rec));
+    store.extend_validated((0..100).map(rec));
     store.sync().expect("commit state A");
-    store.extend((100..150).map(rec));
+    store.extend_validated((100..150).map(rec));
     store.seal(); // next sync must rotate
 
     test_hooks::fail_next_manifest_flip(scratch.path());
@@ -685,9 +735,9 @@ fn manifest_flip_failure_retry_converges() {
     let _guard = hook_guard();
     let scratch = Scratch::new();
     let mut store = TelemetryStore::open(scratch.path()).expect("open");
-    store.extend((0..100).map(rec));
+    store.extend_validated((0..100).map(rec));
     store.sync().expect("commit state A");
-    store.extend((100..150).map(rec));
+    store.extend_validated((100..150).map(rec));
     store.seal();
 
     test_hooks::fail_next_manifest_flip(scratch.path());
@@ -697,7 +747,7 @@ fn manifest_flip_failure_retry_converges() {
 
     let reopened = TelemetryStore::open(scratch.path()).expect("reopen");
     let mut reference = RefStore::new();
-    reference.extend((0..150).map(rec));
+    reference.extend_validated((0..150).map(rec));
     assert_agrees(&reference, &reopened);
 }
 
@@ -736,7 +786,7 @@ fn quarantine_only_directory_is_missing_manifest_not_fresh() {
 fn v1_manifest_opens_and_upgrades_without_segment_rewrite() {
     let scratch = Scratch::new();
     let mut store = TelemetryStore::open(scratch.path()).expect("open");
-    store.extend((0..200u64).map(|i| rec_at(i, i / 4)));
+    store.extend_validated((0..200u64).map(|i| rec_at(i, i / 4)));
     store.seal();
     store.sync().expect("sync");
     drop(store);
@@ -766,7 +816,7 @@ fn v1_manifest_opens_and_upgrades_without_segment_rewrite() {
 
     let mut reopened = TelemetryStore::open(scratch.path()).expect("v1 manifest must open");
     let mut reference = RefStore::new();
-    reference.extend((0..200u64).map(|i| rec_at(i, i / 4)));
+    reference.extend_validated((0..200u64).map(|i| rec_at(i, i / 4)));
     assert_agrees(&reference, &reopened);
 
     // The upgrade sync rewrites manifest + WAL, not the segment.
@@ -796,9 +846,9 @@ fn windowed_queries_load_only_intersecting_segments() {
     let mut store = TelemetryStore::open(scratch.path()).expect("open");
     // Elder run strictly larger than the newcomer so the ladder keeps
     // them separate; both at/above the policy floor so sync does too.
-    store.extend((0..4500u64).map(|i| rec_at(i, i % 100)));
+    store.extend_validated((0..4500u64).map(|i| rec_at(i, i % 100)));
     store.seal();
-    store.extend((0..4200u64).map(|i| rec_at(i, 1000 + i % 100)));
+    store.extend_validated((0..4200u64).map(|i| rec_at(i, 1000 + i % 100)));
     store.seal();
     let stats = store.sync().expect("sync");
     assert!(stats.rotated);
@@ -840,9 +890,9 @@ fn windowed_queries_load_only_intersecting_segments() {
 fn sync_never_rewrites_unchanged_segments() {
     let scratch = Scratch::new();
     let mut store = TelemetryStore::open(scratch.path()).expect("open");
-    store.extend((0..4500u64).map(|i| rec_at(i, i % 100)));
+    store.extend_validated((0..4500u64).map(|i| rec_at(i, i % 100)));
     store.seal();
-    store.extend((0..4200u64).map(|i| rec_at(i, 1000 + i % 100)));
+    store.extend_validated((0..4200u64).map(|i| rec_at(i, 1000 + i % 100)));
     store.seal();
     store.sync().expect("sync big segments");
     let big_segments = live_segments(scratch.path());
@@ -853,7 +903,7 @@ fn sync_never_rewrites_unchanged_segments() {
         .sum();
 
     // Fast path: an appended tail rides the WAL; no segment activity.
-    store.extend((0..10u64).map(|i| rec_at(i, 2000)));
+    store.extend_validated((0..10u64).map(|i| rec_at(i, 2000)));
     let stats = store.sync().expect("tail sync");
     assert!(!stats.rotated);
     assert_eq!(stats.segments_written, 0);
@@ -896,8 +946,8 @@ fn compact_segments_roundtrips_through_disk() {
     // directory accumulates small segments.
     for b in 0..3u64 {
         let batch: Vec<_> = (0..300u64).map(|i| rec_at(b * 1000 + i, i % 50)).collect();
-        reference.extend(batch.iter().copied());
-        store.extend(batch);
+        reference.extend_validated(batch.iter().copied());
+        store.extend_validated(batch);
         store.seal();
         store.sync().expect("sync batch");
     }
@@ -919,7 +969,7 @@ fn compact_segments_roundtrips_through_disk() {
 fn merge_of_a_reopened_durable_store_keeps_every_row() {
     let scratch = Scratch::new();
     let mut store = TelemetryStore::open(scratch.path()).expect("open");
-    store.extend((0..5000).map(rec));
+    store.extend_validated((0..5000).map(rec));
     store.sync().expect("sync");
     drop(store);
 
@@ -931,7 +981,7 @@ fn merge_of_a_reopened_durable_store_keeps_every_row() {
     assert_eq!(merged.len(), 5000);
     merged.verify().expect("nothing degraded");
     let mut reference = RefStore::new();
-    reference.extend((0..5000).map(rec));
+    reference.extend_validated((0..5000).map(rec));
     assert_agrees(&reference, &merged);
 }
 
@@ -942,9 +992,9 @@ fn merge_of_an_evicted_durable_store_keeps_every_row() {
     let scratch = Scratch::new();
     let mut store = TelemetryStore::open(scratch.path()).expect("open");
     // Elder run above the policy floor so sync keeps two segments.
-    store.extend((0..4500).map(rec));
+    store.extend_validated((0..4500).map(rec));
     store.seal();
-    store.extend((4500..5000).map(rec));
+    store.extend_validated((4500..5000).map(rec));
     store.seal();
     store.sync().expect("sync");
     drop(store);
@@ -959,7 +1009,36 @@ fn merge_of_an_evicted_durable_store_keeps_every_row() {
     assert_eq!(merged.len(), 5000);
     merged.verify().expect("nothing degraded");
     let mut reference = RefStore::new();
-    reference.extend((0..5000).map(rec));
+    reference.extend_validated((0..5000).map(rec));
+    assert_agrees(&reference, &merged);
+}
+
+/// Evictions between ops: with the LRU cap at one and a run above the
+/// sync-time size floor, every sync leaves a segment evicted. A clone
+/// taken right then, the store itself and a merge of it must all still
+/// read every row — each goes through the lazy-load path.
+#[test]
+fn evicted_runs_reload_for_clones_queries_and_merges() {
+    let scratch = Scratch::new();
+    let mut store = TelemetryStore::open(scratch.path()).expect("open");
+    store.set_segment_cache_limit(1);
+    let mut reference = RefStore::new();
+    for batch in [0..4500, 4500..5000, 5000..5300, 5300..5400] {
+        reference.extend_validated(batch.clone().map(rec));
+        store.extend_validated(batch.map(rec));
+        store.seal();
+        store.sync().expect("sync");
+        assert_eq!(store.resident_runs(), 1, "the cap must evict all but one run");
+        let clone = store.clone();
+        assert_eq!(clone.resident_runs(), clone.run_count(), "a clone's runs are in memory");
+        assert_agrees(&reference, &clone);
+        assert_agrees(&reference, &store);
+    }
+    assert_eq!(store.run_count(), 2, "the policy folds the small runs into one segment");
+    store.set_segment_cache_limit(1);
+    assert_eq!(store.resident_runs(), 1);
+    let mut merged = TelemetryStore::new();
+    assert_eq!(merged.merge(store), 0);
     assert_agrees(&reference, &merged);
 }
 
@@ -969,7 +1048,7 @@ fn merge_of_an_evicted_durable_store_keeps_every_row() {
 fn merge_carries_a_corrupt_source_segment_into_verify() {
     let scratch = Scratch::new();
     let mut store = TelemetryStore::open(scratch.path()).expect("open");
-    store.extend((0..2000).map(rec));
+    store.extend_validated((0..2000).map(rec));
     store.sync().expect("sync");
     drop(store);
     let segments = live_segments(scratch.path());

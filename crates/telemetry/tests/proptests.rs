@@ -33,7 +33,7 @@ proptest! {
     #[test]
     fn daily_aggregates_conserve_totals(records in prop::collection::vec(arb_record(), 1..200)) {
         let mut store = TelemetryStore::new();
-        store.extend(records.iter().copied());
+        store.extend_validated(records.iter().copied());
         let daily = daily_group_aggregates(&store);
         // Conservation: Σ (mean·hours) over aggregates == Σ raw values.
         let raw_tasks: f64 = records.iter().map(|r| r.metrics.tasks_finished).sum();
@@ -52,7 +52,7 @@ proptest! {
     #[test]
     fn store_filters_partition_records(records in prop::collection::vec(arb_record(), 1..200)) {
         let mut store = TelemetryStore::new();
-        store.extend(records.iter().copied());
+        store.extend_validated(records.iter().copied());
         // Group filters partition the store.
         let by_groups: usize = store.groups().iter().map(|g| store.by_group(*g).count()).sum();
         prop_assert_eq!(by_groups, store.len());
