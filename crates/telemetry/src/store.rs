@@ -1607,25 +1607,37 @@ mod tests {
         assert_eq!(store.by_hours(1, 2).count(), 1);
     }
 
+    #[test]
+    fn extend_validated_rejects_non_finite_in_all_profiles() {
+        let mut store = TelemetryStore::new();
+        // `extend_validated` is the one batch append; it must reject
+        // these even in release builds.
+        let dropped = store.extend_validated(vec![
+            rec(1, 0, 0, 10.0),
+            rec(1, 0, 1, f64::NAN),
+            rec(1, 0, 2, f64::INFINITY),
+            rec(1, 0, 3, f64::NEG_INFINITY),
+            rec(2, 0, 0, 20.0),
+        ]);
+        assert_eq!(dropped, 3);
+        assert_eq!(store.len(), 2);
+        assert!(store.iter().all(|r| r.metrics.is_finite()));
+        // Clean batches pass through untouched.
+        assert_eq!(store.extend_validated(vec![rec(3, 0, 0, 5.0)]), 0);
+        assert_eq!(store.len(), 3);
+    }
+
     /// Regression: `push` and the batch append used to check finiteness
     /// only by debug assertion, and `merge` inherited that, so release
-    /// builds stored NaN. Every append now rejects and counts non-finite
-    /// rows in every build profile.
+    /// builds stored NaN. `push` and `merge` now reject and count
+    /// non-finite rows in every build profile.
     #[test]
     fn appends_reject_non_finite_in_all_profiles() {
         let mut store = TelemetryStore::new();
         assert!(store.push(rec(1, 0, 0, 10.0)));
         assert!(!store.push(rec(1, 0, 1, f64::NAN)));
         assert!(!store.push(rec(1, 0, 2, f64::NEG_INFINITY)));
-        assert_eq!(
-            store.extend_validated(vec![
-                rec(2, 0, 0, f64::NAN),
-                rec(2, 0, 1, 20.0),
-                rec(2, 0, 2, f64::INFINITY),
-                rec(2, 0, 3, f64::NEG_INFINITY),
-            ]),
-            3
-        );
+        assert!(store.push(rec(2, 0, 1, 20.0)));
         assert_eq!(store.len(), 2);
         // A source store built around the validated entry points, the
         // way a corrupted window would arrive from outside: bad rows in
