@@ -48,26 +48,52 @@ const fn build_tables() -> [[u32; 256]; 8] {
 
 /// CRC-32 of `data` (standard init/final xor, matching zlib's `crc32`).
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    let mut chunks = data.chunks_exact(8);
-    for c in chunks.by_ref() {
-        // The low half is folded into the running CRC, the high half is
-        // independent; eight table lookups advance eight bytes.
-        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-        crc = TABLES[7][(lo & 0xFF) as usize]
-            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ TABLES[4][((lo >> 24) & 0xFF) as usize]
-            ^ TABLES[3][(hi & 0xFF) as usize]
-            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ TABLES[0][((hi >> 24) & 0xFF) as usize];
+    let mut crc = Crc32::new();
+    crc.update(data);
+    crc.finish()
+}
+
+/// Running CRC-32 over data fed in pieces: the checksum of the
+/// concatenated pieces equals [`crc32`] of the whole, at any split.
+/// Segment I/O checksums each section one chunk at a time while the
+/// chunk is still in cache.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32(u32);
+
+impl Crc32 {
+    /// The checksum of no bytes so far.
+    pub fn new() -> Self {
+        Crc32(!0)
     }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+
+    /// Feeds the next piece of data.
+    pub fn update(&mut self, data: &[u8]) {
+        let mut crc = self.0;
+        let mut chunks = data.chunks_exact(8);
+        for c in chunks.by_ref() {
+            // The low half is folded into the running CRC, the high half
+            // is independent; eight table lookups advance eight bytes.
+            let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+            let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+            crc = TABLES[7][(lo & 0xFF) as usize]
+                ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+                ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+                ^ TABLES[4][((lo >> 24) & 0xFF) as usize]
+                ^ TABLES[3][(hi & 0xFF) as usize]
+                ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+                ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+                ^ TABLES[0][((hi >> 24) & 0xFF) as usize];
+        }
+        for &b in chunks.remainder() {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        self.0 = crc;
     }
-    !crc
+
+    /// The CRC-32 of everything fed so far.
+    pub fn finish(&self) -> u32 {
+        !self.0
+    }
 }
 
 #[cfg(test)]
@@ -103,6 +129,19 @@ mod tests {
                 let slice = &data[start..end.max(start)];
                 assert_eq!(crc32(slice), crc32_simple(slice), "at [{start}..{end}]");
             }
+        }
+    }
+
+    #[test]
+    fn streamed_equals_whole_at_every_split() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i.wrapping_mul(37) ^ 0x5A) as u8).collect();
+        let whole = crc32(&data);
+        for piece in [1usize, 3, 7, 8, 9, 64, 299, 300] {
+            let mut crc = Crc32::new();
+            for c in data.chunks(piece) {
+                crc.update(c);
+            }
+            assert_eq!(crc.finish(), whole, "pieces of {piece}");
         }
     }
 }

@@ -62,6 +62,7 @@
 //! mutate/query sequences, and the baseline the
 //! `telemetry_scan`/`telemetry_stream` benches measure speedups over.
 
+use crate::fanout;
 use crate::metric::Metric;
 use crate::persist;
 use crate::record::{GroupKey, MachineHourRecord, MachineId};
@@ -280,7 +281,7 @@ impl ColumnIndex {
         let machine_offsets = machine_offsets_of(&machine_dense, &machine_order, machines.len());
 
         // Struct-of-arrays metric columns, derived ratios included.
-        let mut columns = vec![Vec::with_capacity(n); Metric::ALL.len()];
+        let mut columns = metric_columns(n);
         for r in &sorted {
             let row = Metric::row_of(&r.metrics);
             for (col, v) in columns.iter_mut().zip(row) {
@@ -304,48 +305,33 @@ impl ColumnIndex {
     }
 
     /// Rebuilds an index from the four core tables a segment file
-    /// persists, re-deriving every other table and validating the
-    /// structural invariants the query paths rely on. Returns `None` on
-    /// any violation — a segment that decodes byte-exactly but encodes
-    /// an inconsistent index (hand-edited, or written by a buggy
-    /// future version) must be rejected, not queried.
+    /// persists — `rows` as the loader streamed them in (see
+    /// [`PersistedRows`]), the machine list and the two permutations —
+    /// re-deriving every other table and validating the structural
+    /// invariants the query paths rely on. Returns `None` on any
+    /// violation — a segment that decodes byte-exactly but encodes an
+    /// inconsistent index (hand-edited, or written by a buggy future
+    /// version) must be rejected, not queried.
     ///
     /// Persisting only `sorted`, `machines`, and the two permutations
     /// keeps segments near-dump-speed to write while the O(n) rebuild
     /// here stays far cheaper than the O(n log n) sorts that dominate
     /// [`ColumnIndex::build`].
     pub(crate) fn from_persisted(
-        sorted: Vec<MachineHourRecord>,
+        rows: PersistedRows,
         machines: Vec<MachineId>,
         hour_order: Vec<usize>,
         machine_order: Vec<usize>,
     ) -> Option<Self> {
+        let PersistedRows { sorted, columns, groups, mut group_offsets, in_order } = rows;
         let n = sorted.len();
-        let key = |r: &MachineHourRecord| (r.group, r.hour, r.machine);
-        if !sorted.windows(2).all(|w| key(&w[0]) <= key(&w[1])) {
+        // Rows sorted by (group, hour, machine).
+        if !in_order {
             return None;
         }
-        // The machine list must be the exact distinct set: strictly
-        // ascending, and every row's machine resolvable to a dense id.
+        group_offsets.push(n);
+        // The machine list must be strictly ascending.
         if !machines.windows(2).all(|w| w[0] < w[1]) {
-            return None;
-        }
-        let mut machine_dense = Vec::with_capacity(n);
-        for r in &sorted {
-            let dense = machines.partition_point(|m| *m < r.machine);
-            if machines.get(dense) != Some(&r.machine) {
-                return None;
-            }
-            machine_dense.push(dense as u32);
-        }
-        // No phantom machines: every interned id is referenced by a row.
-        let mut machine_seen = vec![false; machines.len()];
-        for &d in &machine_dense {
-            if let Some(slot) = machine_seen.get_mut(d as usize) {
-                *slot = true;
-            }
-        }
-        if !machine_seen.iter().all(|&s| s) {
             return None;
         }
 
@@ -373,24 +359,44 @@ impl ColumnIndex {
         {
             return None;
         }
-        if !machine_order
-            .windows(2)
-            .all(|w| (machine_dense[w[0]], sorted[w[0]].hour) <= (machine_dense[w[1]], sorted[w[1]].hour))
-        {
+        let (hours, hour_offsets) = hour_runs(&sorted, &hour_order);
+
+        // One walk of the machine ordering checks it and interns the
+        // machines: it must visit the machine list in order, every entry
+        // (no phantom machines) and nothing else (every row's machine
+        // resolves), hours ascending within each machine. The position
+        // of a row's machine in the list is its dense id.
+        let mut machine_dense = vec![0u32; n];
+        let mut machine_offsets = Vec::with_capacity(machines.len() + 1);
+        let mut at: Option<(u32, MachineId, u64)> = None;
+        for (pos, &row) in machine_order.iter().enumerate() {
+            let r = &sorted[row];
+            let dense = match at {
+                Some((dense, machine, hour)) if machine == r.machine => {
+                    if r.hour < hour {
+                        return None;
+                    }
+                    dense
+                }
+                _ => {
+                    let next = match at {
+                        Some((dense, ..)) => dense.checked_add(1)?,
+                        None => 0,
+                    };
+                    if machines.get(next as usize) != Some(&r.machine) {
+                        return None;
+                    }
+                    machine_offsets.push(pos);
+                    next
+                }
+            };
+            at = Some((dense, r.machine, r.hour));
+            machine_dense[row] = dense;
+        }
+        if machine_offsets.len() != machines.len() {
             return None;
         }
-
-        // Past validation the derivations mirror `from_sorted`.
-        let (groups, group_offsets) = group_runs(&sorted);
-        let (hours, hour_offsets) = hour_runs(&sorted, &hour_order);
-        let machine_offsets = machine_offsets_of(&machine_dense, &machine_order, machines.len());
-        let mut columns = vec![Vec::with_capacity(n); Metric::ALL.len()];
-        for r in &sorted {
-            let row = Metric::row_of(&r.metrics);
-            for (col, v) in columns.iter_mut().zip(row) {
-                col.push(v);
-            }
-        }
+        machine_offsets.push(n);
 
         Some(ColumnIndex {
             sorted,
@@ -608,6 +614,61 @@ impl ColumnIndex {
             .filter(move |&&row| bitmap.contains(self.machine_dense[row]))
             .map(move |&row| &self.sorted[row])
     }
+}
+
+/// A run's records as the segment loader streams them in, with what one
+/// in-order look at each row yields while it is still in cache: its
+/// metric columns, the group runs, and whether the rows are sorted by
+/// `(group, hour, machine)`. [`ColumnIndex::from_persisted`] finishes
+/// the index from it.
+pub(crate) struct PersistedRows {
+    sorted: Vec<MachineHourRecord>,
+    columns: Vec<Vec<f64>>,
+    groups: Vec<GroupKey>,
+    /// Group start offsets; the closing `n` is pushed at the end.
+    group_offsets: Vec<usize>,
+    in_order: bool,
+}
+
+impl PersistedRows {
+    /// Room for `n` rows.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        PersistedRows {
+            sorted: Vec::with_capacity(n),
+            columns: metric_columns(n),
+            groups: Vec::new(),
+            group_offsets: Vec::new(),
+            in_order: true,
+        }
+    }
+
+    /// Appends the next decoded row.
+    pub(crate) fn push(&mut self, r: MachineHourRecord) {
+        let key = |r: &MachineHourRecord| (r.group, r.hour, r.machine);
+        if let Some(prev) = self.sorted.last() {
+            self.in_order &= key(prev) <= key(&r);
+        }
+        if self.groups.last() != Some(&r.group) {
+            self.group_offsets.push(self.sorted.len());
+            self.groups.push(r.group);
+        }
+        for (col, v) in self.columns.iter_mut().zip(Metric::row_of(&r.metrics)) {
+            col.push(v);
+        }
+        self.sorted.push(r);
+    }
+
+    /// Rows pushed so far.
+    pub(crate) fn len(&self) -> usize {
+        self.sorted.len()
+    }
+}
+
+/// One empty metric column per [`Metric`], each with room for `n` rows.
+/// Every column gets its own allocation: `vec![Vec::with_capacity(n); k]`
+/// would clone the first, and a clone keeps no spare capacity.
+pub(crate) fn metric_columns(n: usize) -> Vec<Vec<f64>> {
+    Metric::ALL.iter().map(|_| Vec::with_capacity(n)).collect()
 }
 
 /// Distinct-group list and CSR offsets of group-major sorted records.
@@ -910,7 +971,35 @@ impl TelemetryStore {
     /// Queries on a degraded store serve the surviving runs (the bad
     /// segment is quarantined and its run reads as empty); this is how
     /// a caller distinguishes that state from a clean one.
+    ///
+    /// Cold runs load concurrently, one segment per worker. The load
+    /// failures are then recorded, and every run touched for the LRU,
+    /// in run order, so the reported diagnosis (the oldest bad run's)
+    /// and the later eviction order do not depend on which load
+    /// finished first.
     pub fn verify(&self) -> Result<(), persist::PersistError> {
+        let cold: Vec<(&SealedRun, &str, &OnceLock<ColumnIndex>)> = self
+            .runs
+            .iter()
+            .filter_map(|run| match &run.state {
+                RunState::Clean { seg, index } if index.get().is_none() => Some((run, seg.as_str(), index)),
+                _ => None,
+            })
+            .collect();
+        let failures = fanout::work_steal(cold.len(), fanout::available_workers(), || (), |_, i| {
+            let (run, seg, index) = cold.get(i).copied()?;
+            let mut failure = None;
+            index.get_or_init(|| {
+                self.load_run(run, seg).unwrap_or_else(|err| {
+                    failure = Some(err);
+                    empty_index().clone()
+                })
+            });
+            failure
+        });
+        for err in failures.iter().flatten() {
+            self.note_degraded(err);
+        }
         for run in &self.runs {
             let _ = self.run_side(run);
         }
@@ -1175,17 +1264,20 @@ impl TelemetryStore {
             RunState::Clean { seg, index } => (seg, index),
         };
         index.get_or_init(|| {
-            let loaded = match &self.backing {
-                Some(b) => {
-                    persist::segment::load_segment(b.dir(), seg, run.rows as u64, Some(run.bounds))
-                }
-                None => Err(persist::PersistError::NotDurable),
-            };
-            loaded.unwrap_or_else(|err| {
+            self.load_run(run, seg).unwrap_or_else(|err| {
                 self.note_degraded(&err);
                 empty_index().clone()
             })
         })
+    }
+
+    /// Decodes a clean run from its segment `seg`, checked against the
+    /// run's manifest row count and hour bounds.
+    fn load_run(&self, run: &SealedRun, seg: &str) -> Result<ColumnIndex, persist::PersistError> {
+        match &self.backing {
+            Some(b) => persist::segment::load_segment(b.dir(), seg, run.rows as u64, Some(run.bounds)),
+            None => Err(persist::PersistError::NotDurable),
+        }
     }
 
     /// Records the first load failure; later ones keep the original
@@ -1920,6 +2012,108 @@ mod tests {
         // Dense ids round-trip.
         for (row, r) in idx.sorted.iter().enumerate() {
             assert_eq!(idx.machines[idx.machine_dense[row] as usize], r.machine);
+        }
+    }
+
+    /// Regression: the columns were built with
+    /// `vec![Vec::with_capacity(n); k]`, which clones the first column,
+    /// and a clone keeps no spare capacity — so 13 of the 14 columns grew
+    /// by doubling on every seal and build.
+    #[test]
+    fn every_metric_column_is_allocated_once_at_full_size() {
+        let records: Vec<_> =
+            (0..1000u32).map(|i| rec(i % 37, (i % 3) as u16, u64::from(i / 37), f64::from(i))).collect();
+        let idx = ColumnIndex::build(&records);
+        for (col, metric) in idx.columns.iter().zip(Metric::ALL) {
+            assert_eq!(col.capacity(), records.len(), "{metric} column reallocated");
+        }
+    }
+
+    /// Rebuilds an index through the segment loader's path from the four
+    /// tables a segment persists.
+    fn from_tables(
+        sorted: &[MachineHourRecord],
+        machines: &[MachineId],
+        hour_order: &[usize],
+        machine_order: &[usize],
+    ) -> Option<ColumnIndex> {
+        let mut rows = PersistedRows::with_capacity(sorted.len());
+        for &r in sorted {
+            rows.push(r);
+        }
+        ColumnIndex::from_persisted(rows, machines.to_vec(), hour_order.to_vec(), machine_order.to_vec())
+    }
+
+    #[test]
+    fn from_persisted_rebuilds_consistent_tables_and_refuses_every_broken_invariant() {
+        let mut records = Vec::new();
+        for m in 0..5u32 {
+            for h in [0u64, 2, 7] {
+                records.push(rec(m * 3, (m % 2) as u16, h, f64::from(m) + h as f64));
+            }
+        }
+        let idx = ColumnIndex::build(&records);
+        let (sorted, machines) = (&idx.sorted[..], &idx.machines[..]);
+        let (hour_order, machine_order) = (&idx.hour_order[..], &idx.machine_order[..]);
+
+        let back = from_tables(sorted, machines, hour_order, machine_order).expect("consistent tables");
+        assert_eq!(back.sorted, idx.sorted);
+        assert_eq!(back.groups, idx.groups);
+        assert_eq!(back.group_offsets, idx.group_offsets);
+        assert_eq!(back.machines, idx.machines);
+        assert_eq!(back.machine_dense, idx.machine_dense);
+        assert_eq!(back.hours, idx.hours);
+        assert_eq!(back.hour_order, idx.hour_order);
+        assert_eq!(back.hour_offsets, idx.hour_offsets);
+        assert_eq!(back.machine_order, idx.machine_order);
+        assert_eq!(back.machine_offsets, idx.machine_offsets);
+        assert_eq!(back.columns, idx.columns);
+        let empty = from_tables(&[], &[], &[], &[]).expect("an empty run");
+        assert_eq!(empty.group_offsets, vec![0]);
+        assert_eq!(empty.hour_offsets, vec![0]);
+        assert_eq!(empty.machine_offsets, vec![0]);
+
+        let last = sorted.len() - 1;
+        let swapped = |v: &[usize], i: usize, j: usize| {
+            let mut v = v.to_vec();
+            v.swap(i, j);
+            v
+        };
+        // Rows out of (group, hour, machine) order.
+        let mut unsorted = sorted.to_vec();
+        unsorted.swap(0, last);
+        assert!(from_tables(&unsorted, machines, hour_order, machine_order).is_none());
+        // Machine lists that are not the exact ascending distinct set.
+        let mut duplicated = machines.to_vec();
+        duplicated.insert(1, machines[0]);
+        let mut phantom = machines.to_vec();
+        phantom.push(MachineId(999));
+        let mut in_between = machines.to_vec();
+        in_between.insert(1, MachineId(1));
+        let missing = &machines[..machines.len() - 1];
+        let mut descending = machines.to_vec();
+        descending.reverse();
+        for bad in [&duplicated[..], &phantom, &in_between, missing, &descending, &[]] {
+            assert!(from_tables(sorted, bad, hour_order, machine_order).is_none(), "{bad:?}");
+        }
+        // Orderings that are not permutations of the rows.
+        let mut repeated = hour_order.to_vec();
+        repeated[1] = repeated[0];
+        let mut out_of_range = machine_order.to_vec();
+        out_of_range[0] = sorted.len();
+        let short = &hour_order[1..];
+        assert!(from_tables(sorted, machines, &repeated, machine_order).is_none());
+        assert!(from_tables(sorted, machines, short, machine_order).is_none());
+        assert!(from_tables(sorted, machines, hour_order, &out_of_range).is_none());
+        assert!(from_tables(sorted, machines, hour_order, hour_order).is_none());
+        // Permutations out of their secondary order: across hours, across
+        // machines within an hour, across machines, and across hours
+        // within a machine.
+        for bad in [swapped(hour_order, 0, last), swapped(hour_order, 0, 1)] {
+            assert!(from_tables(sorted, machines, &bad, machine_order).is_none(), "{bad:?}");
+        }
+        for bad in [swapped(machine_order, 0, last), swapped(machine_order, 0, 1)] {
+            assert!(from_tables(sorted, machines, hour_order, &bad).is_none(), "{bad:?}");
         }
     }
 

@@ -1067,3 +1067,111 @@ fn merge_carries_a_corrupt_source_segment_into_verify() {
     let err = merged.verify().expect_err("the loss must surface");
     assert!(matches!(err, PersistError::Corrupt { .. }), "got {err}");
 }
+
+/// Copies every file of a store directory into a fresh scratch dir.
+fn copy_dir(src: &Path) -> Scratch {
+    let copy = Scratch::new();
+    std::fs::create_dir_all(copy.path()).expect("create copy");
+    for entry in std::fs::read_dir(src).expect("list template") {
+        let entry = entry.expect("dir entry");
+        std::fs::copy(entry.path(), copy.path().join(entry.file_name())).expect("copy file");
+    }
+    copy
+}
+
+/// `verify` loads cold runs concurrently. What it reports, what it
+/// quarantines and the LRU order it leaves behind must not depend on
+/// which load finishes first: the oldest bad run's diagnosis, every bad
+/// file moved aside, and the newest run kept when the cache shrinks to
+/// one — on every reopen.
+///
+/// The oldest run is by far the largest and is damaged in its last
+/// byte, so its load fails last: reporting failures, or stamping the
+/// LRU, in completion order would name the younger bad run and keep the
+/// oldest one.
+#[test]
+fn concurrent_verify_reports_and_evicts_in_run_order() {
+    // Decreasing sizes keep the ladder from merging the runs, and each
+    // is above the sync-time merge floor; hours are disjoint per run.
+    let template = Scratch::new();
+    let mut runs: Vec<Vec<MachineHourRecord>> = Vec::new();
+    {
+        let mut store = TelemetryStore::open(template.path()).expect("open");
+        let mut start = 0;
+        for n in [20_000u64, 6_000, 5_000, 4_500] {
+            let rows: Vec<_> = (start..start + n).map(|i| rec_at(i, i / 250)).collect();
+            start += n;
+            assert_eq!(store.extend_validated(rows.clone()), 0);
+            store.seal();
+            store.sync().expect("sync");
+            runs.push(rows);
+        }
+        assert_eq!(store.run_count(), 4, "the runs must stay separate segments");
+    }
+    let names: Vec<_> = live_segments(template.path())
+        .iter()
+        .map(|p| p.file_name().expect("segment name").to_owned())
+        .collect();
+    assert_eq!(names.len(), 4);
+    // Damage run 0's last byte and a record of run 2; both headers
+    // still validate, so open succeeds and the loads fail.
+    for (run, at_end) in [(0, true), (2, false)] {
+        let path = template.path().join(&names[run]);
+        let mut bytes = std::fs::read(&path).expect("read segment");
+        let at = if at_end { bytes.len() - 1 } else { 200 };
+        bytes[at] ^= 0x10;
+        std::fs::write(&path, &bytes).expect("write damaged segment");
+    }
+    let mut healthy = TelemetryStore::new();
+    for run in [&runs[1], &runs[3]] {
+        assert_eq!(healthy.extend_validated(run.iter().copied()), 0);
+    }
+
+    for cycle in 0..20 {
+        let copy = copy_dir(template.path());
+        let mut store = TelemetryStore::open(copy.path()).expect("body damage passes open");
+        let seg = |run: usize| copy.path().join(&names[run]);
+        match store.verify() {
+            Err(PersistError::Corrupt { path, .. }) => {
+                assert_eq!(path, seg(0), "cycle {cycle}: the oldest bad run is reported")
+            }
+            other => panic!("cycle {cycle}: expected Corrupt, got {other:?}"),
+        }
+        for run in [0, 2] {
+            assert!(!seg(run).exists(), "cycle {cycle}: run {run} left in place");
+            let mut quarantined = seg(run).into_os_string();
+            quarantined.push(".quarantine");
+            assert!(Path::new(&quarantined).exists(), "cycle {cycle}: run {run} not quarantined");
+        }
+        match store.sync() {
+            Err(PersistError::Corrupt { path, .. }) => assert_eq!(path, seg(0), "cycle {cycle}"),
+            other => panic!("cycle {cycle}: a degraded store must refuse to sync, got {other:?}"),
+        }
+        assert_eq!(store.resident_runs(), 4, "cycle {cycle}: every run is resident");
+
+        // With the cache cut to one run right after `verify`, the run it
+        // touched last stays. Deleting the healthy segments leaves only
+        // that resident run able to serve rows.
+        store.set_segment_cache_limit(1);
+        assert_eq!(store.resident_runs(), 1, "cycle {cycle}");
+        for run in [1, 3] {
+            std::fs::remove_file(seg(run)).expect("remove healthy segment");
+        }
+        assert_eq!(
+            sorted_keys(store.iter()),
+            sorted_keys(runs[3].iter()),
+            "cycle {cycle}: the newest run must be the one left resident"
+        );
+
+        // A second reopen: the healthy runs serve exactly their rows.
+        let copy = copy_dir(template.path());
+        let store = TelemetryStore::open(copy.path()).expect("reopen");
+        assert!(store.verify().is_err(), "cycle {cycle}");
+        assert_eq!(sorted_keys(store.iter()), sorted_keys(healthy.iter()), "cycle {cycle}");
+        assert_eq!(
+            daily_group_aggregates(&store),
+            daily_group_aggregates(&healthy),
+            "cycle {cycle}"
+        );
+    }
+}
